@@ -6,10 +6,11 @@ Completable / Uncompletable certificate, obstacle-cycle extraction for
 failures, and brute-force verification of the engine's guarantees.
 """
 
+from types import ModuleType as _ModuleType
+
 from .completion import (CompletionOutcome, CompletionTrace, ForkRule,
-                         Schedule, TraceRecord, build_schedule,
-                         decide_completable, magic_complete, serialize_trace,
-                         shortest_path_complete, step_completion, time_of)
+                         Schedule, TraceRecord, build_schedule, magic_complete,
+                         serialize_trace, shortest_path_complete, time_of)
 from .errors import (GraphParseError, InputError, InvariantViolation,
                      ResourceLimitError)
 from .obstacles import (CycleFamily, FamilyMatch, Obstacle,
@@ -18,8 +19,7 @@ from .obstacles import (CycleFamily, FamilyMatch, Obstacle,
                         validate_obstacle_hom)
 from .oracle import (CompletionSet, ExhaustiveScope, Failure, PropertyReport,
                      RandomScope, amalgamate, brute_force_completable,
-                     check_amalgamation, check_automorphism_preservation,
-                     check_m_edge_provenance, check_optimality, check_parity,
+                     check_amalgamation, check_instance,
                      enumerate_all_completions, enumerate_members,
                      format_report, run_verification_suite)
 from .params import (AdmissibilityVerdict, CatalogueRow, MagicChoice,
@@ -30,8 +30,9 @@ from .params import (AdmissibilityVerdict, CatalogueRow, MagicChoice,
 from .space import (LabelledCycle, LabelledGraph, TriangleBound,
                     TriangleVerdict, automorphisms, canonical_cycle,
                     classify_triangle, cycle_to_graph, forbidden_triangles,
-                    fork_graph, homomorphisms, is_automorphism, is_member,
-                    parse_cycle, parse_graph, serialize_cycle,
-                    serialize_graph, triangle_allowed)
+                    fork_graph, is_automorphism, is_member, parse_cycle,
+                    parse_graph, serialize_cycle, serialize_graph,
+                    triangle_allowed)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -177,13 +177,6 @@ def _apply_rule(mat, n: int, rule: ForkRule) -> list[tuple[int, int, int, str]]:
     return found
 
 
-def step_completion(g: LabelledGraph, rule: ForkRule) -> LabelledGraph:
-    """Apply one rule pass to a graph, returning the extended graph."""
-    mat = graph_to_matrix(g)
-    _apply_rule(mat, g.n, rule)
-    return matrix_to_graph(g.delta, mat)
-
-
 def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> CompletionOutcome:
     """Run the staged completion and certify the result.
 
@@ -210,10 +203,6 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
     bad = tuple(forbidden_triangles(p, completed))
     trace = CompletionTrace(p, magic, tuple(records))
     return CompletionOutcome(completed, trace, not bad, bad)
-
-
-def decide_completable(p: ParameterTuple, magic: int, g: LabelledGraph) -> bool:
-    return magic_complete(p, magic, g).completable
 
 
 def serialize_trace(trace: CompletionTrace) -> str:

@@ -11,13 +11,14 @@ given length and matches cycles against the known forbidden-cycle families.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 from .completion import (FAMILY_CBOUND, FAMILY_FINAL, FAMILY_INPUT,
                          FAMILY_MINUS, FAMILY_PLUS, CompletionTrace,
-                         decide_completable)
+                         magic_complete)
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .params import ParameterTuple
 from .space import (LabelledCycle, LabelledGraph, canonical_cycle,
@@ -110,11 +111,27 @@ def _canonical_candidates(delta: int, length: int, leading: int):
             yield cycle
 
 
+def _pmap(fn, items, jobs: int) -> list:
+    """fn over items in input order, in `jobs` worker processes when jobs > 1.
+
+    jobs must lie between 1 and the CPU count; this is checked before any
+    process starts.
+    """
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise InputError(f"jobs must be between 1 and {limit} (the CPU count), got {jobs}")
+    if jobs == 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(items) // (jobs * 8))
+        return list(pool.map(fn, items, chunksize=chunk))
+
+
 def _enumerate_worker(args) -> list[tuple[int, ...]]:
     p, magic, length, leading = args
     hits = []
     for cycle in _canonical_candidates(p.delta, length, leading):
-        if not decide_completable(p, magic, cycle_to_graph(cycle, p.delta)):
+        if not magic_complete(p, magic, cycle_to_graph(cycle, p.delta)).completable:
             hits.append(cycle.labels)
     return hits
 
@@ -129,11 +146,7 @@ def enumerate_uncompletable_cycles(p: ParameterTuple, magic: int, length: int,
         raise ResourceLimitError(
             f"{p.delta}^{length} candidate cycles exceed the budget of {max_candidates}")
     tasks = [(p, magic, length, leading) for leading in range(1, p.delta + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_enumerate_worker, tasks))
-    else:
-        chunks = [_enumerate_worker(task) for task in tasks]
+    chunks = _pmap(_enumerate_worker, tasks, jobs)
     return frozenset(LabelledCycle(labels) for chunk in chunks for labels in chunk)
 
 

@@ -12,20 +12,28 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .completion import magic_complete, shortest_path_complete
 from .errors import InputError, ResourceLimitError
-from .obstacles import extract_obstacle, validate_obstacle_hom
+from .obstacles import _pmap, extract_obstacle, validate_obstacle_hom
 from .params import (CASE_III, ParameterTuple, classify_admissible,
                      eligible_magic)
 from .space import (LabelledCycle, LabelledGraph, allowed_cube, automorphisms,
                     canonical_cycle, cycle_to_graph, fork_graph,
                     graph_to_matrix, is_automorphism, is_member,
                     matrix_to_graph, serialize_graph)
+
+# Missing-pair budgets of the completion enumeration and the completability
+# search: the search defaults, and the budgets of every verification sweep.
+ENUM_BUDGET = 12
+BRUTE_BUDGET = 18
+
+# Largest number of partial graphs an exhaustive scope may materialize.
+MAX_EXHAUSTIVE_INSTANCES = 100_000
 
 PROPERTY_ORDER = (
     "oracle-equivalence",
@@ -123,7 +131,7 @@ def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int,
 
 
 def brute_force_completable(p: ParameterTuple, g: LabelledGraph,
-                            max_missing: int = 18,
+                            max_missing: int = BRUTE_BUDGET,
                             value_order: str = "ascending") -> LabelledGraph | None:
     """First completion in depth-first order, or None.  value_order exists so
     tests can confirm the verdict does not depend on the search order."""
@@ -132,7 +140,7 @@ def brute_force_completable(p: ParameterTuple, g: LabelledGraph,
 
 
 def enumerate_all_completions(p: ParameterTuple, g: LabelledGraph,
-                              max_missing: int = 12) -> CompletionSet:
+                              max_missing: int = ENUM_BUDGET) -> CompletionSet:
     """Every completion, ordered lexicographically by the assignment vector."""
     results = _search(p, g, max_missing, "ascending", find_all=True)
     return CompletionSet(g, tuple(results))
@@ -147,7 +155,7 @@ def enumerate_members(p: ParameterTuple, size: int) -> list[LabelledGraph]:
 
 def _optparity(p: ParameterTuple, magic: int, completed: LabelledGraph,
                comps: CompletionSet):
-    """Shared scan for the optimality and parity checks on one instance."""
+    """Optimality and parity findings on one instance, from one shared scan."""
     case = classify_admissible(p).case_tag
     opt_stats = {"clause1": 0, "clause2": 0, "clause3": 0}
     par_stats = {"parity-exception": 0}
@@ -183,51 +191,8 @@ def _optparity(p: ParameterTuple, magic: int, completed: LabelledGraph,
                         par_details.append(
                             f"pair ({u}, {v}): engine={dbar} other={dprime} "
                             f"differ in parity")
-    return opt_details, opt_stats, par_details, par_stats
-
-
-def check_optimality(p: ParameterTuple, magic: int, g: LabelledGraph,
-                     max_missing: int = 12) -> PropertyReport:
-    """Against every completion, each engine value sits on the magic side of it
-    (or uses the one sanctioned exceptional clause)."""
-    outcome = magic_complete(p, magic, g)
-    if not outcome.completable:
-        raise InputError("optimality is only defined for completable inputs")
-    comps = enumerate_all_completions(p, g, max_missing=max_missing)
-    details, stats, _, _ = _optparity(p, magic, outcome.completed, comps)
-    failures = [Failure(serialize_graph(g), d) for d in details]
-    return PropertyReport("optimality", 1, failures, stats)
-
-
-def check_parity(p: ParameterTuple, magic: int, g: LabelledGraph,
-                 max_missing: int = 12) -> PropertyReport:
-    """Engine values at or below min(K1, M-1), or at or above max(K2, M+1),
-    share parity with every completion's value (modulo the one exception)."""
-    outcome = magic_complete(p, magic, g)
-    if not outcome.completable:
-        raise InputError("parity is only defined for completable inputs")
-    comps = enumerate_all_completions(p, g, max_missing=max_missing)
-    _, _, details, stats = _optparity(p, magic, outcome.completed, comps)
-    failures = [Failure(serialize_graph(g), d) for d in details]
-    return PropertyReport("parity", 1, failures, stats)
-
-
-def check_automorphism_preservation(p: ParameterTuple, magic: int,
-                                    g: LabelledGraph) -> PropertyReport:
-    """Input automorphisms survive both completion engines."""
-    auts = automorphisms(g)
-    completed = magic_complete(p, magic, g).completed
-    spc = shortest_path_complete(p.delta, g)
-    failures = []
-    for perm in auts:
-        if not is_automorphism(completed, perm):
-            failures.append(Failure(serialize_graph(g),
-                                    f"permutation {perm} lost by staged completion"))
-        if not is_automorphism(spc, perm):
-            failures.append(Failure(serialize_graph(g),
-                                    f"permutation {perm} lost by shortest-path completion"))
-    return PropertyReport("automorphism-preservation", 1, failures,
-                          {"input-automorphisms": len(auts)})
+    return [("optimality", True, opt_details[0] if opt_details else None, opt_stats),
+            ("parity", True, par_details[0] if par_details else None, par_stats)]
 
 
 def _provenance_details(p: ParameterTuple, magic: int, g: LabelledGraph,
@@ -247,20 +212,10 @@ def _provenance_details(p: ParameterTuple, magic: int, g: LabelledGraph,
     return details
 
 
-def check_m_edge_provenance(p: ParameterTuple, magic: int,
-                            g: LabelledGraph) -> PropertyReport:
-    outcome = magic_complete(p, magic, g)
-    details = [] if outcome.completable else _provenance_details(
-        p, magic, g, outcome.completed)
-    failures = [Failure(serialize_graph(g), d) for d in details]
-    return PropertyReport("m-edge-provenance", 1, failures, {})
-
-
 @lru_cache(maxsize=None)
-def _cycle_uncompletable(p: ParameterTuple, labels: tuple[int, ...],
-                         max_missing: int) -> bool:
+def _cycle_uncompletable(p: ParameterTuple, labels: tuple[int, ...]) -> bool:
     g = cycle_to_graph(LabelledCycle(labels), p.delta)
-    return brute_force_completable(p, g, max_missing=max_missing) is None
+    return brute_force_completable(p, g) is None
 
 
 def _embeddings(a: LabelledGraph, b: LabelledGraph) -> list[tuple[int, ...]]:
@@ -360,59 +315,27 @@ class RandomScope:
     vertices: int = 5
 
 
-def _random_member(p: ParameterTuple, magic: int, rng: random.Random,
-                   size: int) -> LabelledGraph:
-    """Random complete member, grown one vertex at a time.
+def _extend_member(p: ParameterTuple, magic: int, rng: random.Random,
+                   base: LabelledGraph, size: int) -> LabelledGraph:
+    """Random complete member of the given size containing `base` on 0..n-1.
 
     Each new distance is drawn from the values that keep all triangles against
     the already-built part allowed; if the greedy draw dead-ends, the whole
     vertex falls back to the magic distance, which always works.
     """
     cube = allowed_cube(p)
-    mat = [[None] * size for _ in range(size)]
-    for i in range(size):
-        mat[i][i] = 0
-    for v in range(size):
-        placed = True
-        for u in range(v):
-            options = [val for val in range(1, p.delta + 1)
-                       if all(mat[u][w] is None or mat[v][w] is None
-                              or cube[val][mat[u][w]][mat[v][w]]
-                              for w in range(v))]
-            if not options:
-                placed = False
-                break
-            val = rng.choice(options)
-            mat[u][v] = mat[v][u] = val
-        if not placed:
-            for u in range(v):
-                mat[u][v] = mat[v][u] = magic
-    return matrix_to_graph(p.delta, mat)
-
-
-def _extend_member(p: ParameterTuple, magic: int, rng: random.Random,
-                   base: LabelledGraph, size: int) -> LabelledGraph:
-    """Random complete member of the given size containing `base` on 0..n-1."""
-    cube = allowed_cube(p)
-    mat = [[None] * size for _ in range(size)]
-    for i in range(size):
-        mat[i][i] = 0
-    for u, v, d in base.edges():
-        mat[u][v] = mat[v][u] = d
+    mat = graph_to_matrix(LabelledGraph(size, p.delta, base.edges()))
     for v in range(base.n, size):
-        placed = True
         for u in range(v):
             options = [val for val in range(1, p.delta + 1)
                        if all(mat[u][w] is None or mat[v][w] is None
                               or cube[val][mat[u][w]][mat[v][w]]
                               for w in range(v))]
             if not options:
-                placed = False
+                for w in range(v):
+                    mat[w][v] = mat[v][w] = magic
                 break
             mat[u][v] = mat[v][u] = rng.choice(options)
-        if not placed:
-            for u in range(v):
-                mat[u][v] = mat[v][u] = magic
     return matrix_to_graph(p.delta, mat)
 
 
@@ -424,7 +347,7 @@ def _random_instance(p: ParameterTuple, magic: int, rng: random.Random,
             if rng.random() >= 0.25:
                 edges.append((u, v, rng.randint(1, p.delta)))
         return LabelledGraph(vertices, p.delta, edges)
-    member = _random_member(p, magic, rng, vertices)
+    member = _extend_member(p, magic, rng, LabelledGraph(0, p.delta), vertices)
     kept = [(u, v, d) for u, v, d in member.edges() if rng.random() >= 0.5]
     return LabelledGraph(vertices, p.delta, kept)
 
@@ -432,6 +355,13 @@ def _random_instance(p: ParameterTuple, magic: int, rng: random.Random,
 def scope_instances(p: ParameterTuple, magic: int, scope) -> list[LabelledGraph]:
     """Materialize the instance list for a verification scope."""
     if isinstance(scope, ExhaustiveScope):
+        # (delta+1)^pairs, computed no further than the first power over budget
+        count = math.comb(max(scope.vertices, 0), 2)
+        if ((p.delta + 1) ** min(count, MAX_EXHAUSTIVE_INSTANCES.bit_length())
+                > MAX_EXHAUSTIVE_INSTANCES):
+            raise ResourceLimitError(
+                f"{p.delta + 1}^{count} instances on {scope.vertices} vertices exceed "
+                f"the budget of {MAX_EXHAUSTIVE_INSTANCES}")
         pairs = list(itertools.combinations(range(scope.vertices), 2))
         out = []
         for assignment in itertools.product(range(p.delta + 1), repeat=len(pairs)):
@@ -448,8 +378,7 @@ def scope_instances(p: ParameterTuple, magic: int, scope) -> list[LabelledGraph]
     raise InputError(f"unknown scope {scope!r}")
 
 
-def _instance_findings(p: ParameterTuple, magic: int, enum_budget: int,
-                       brute_budget: int, g: LabelledGraph):
+def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
     """Per-instance results: (serialized instance or None, list of findings).
 
     A finding is (property, counted, failure detail or None, stats delta).
@@ -458,15 +387,13 @@ def _instance_findings(p: ParameterTuple, magic: int, enum_budget: int,
     findings: list[tuple[str, bool, str | None, dict[str, int]]] = []
     outcome = magic_complete(p, magic, g)
     try:
-        witness = brute_force_completable(p, g, max_missing=brute_budget)
-        if (witness is not None) != outcome.completable:
-            findings.append(("oracle-equivalence", True,
-                             f"engine says completable={outcome.completable}, "
-                             f"search says {witness is not None}", {}))
-        else:
-            findings.append(("oracle-equivalence", True, None, {}))
+        found = brute_force_completable(p, g) is not None
     except ResourceLimitError:
         findings.append(("oracle-equivalence", False, None, {"skipped": 1}))
+    else:
+        detail = None if found == outcome.completable else (
+            f"engine says completable={outcome.completable}, search says {found}")
+        findings.append(("oracle-equivalence", True, detail, {}))
     auts = automorphisms(g)
     spc = shortest_path_complete(p.delta, g)
     aut_detail = None
@@ -477,19 +404,16 @@ def _instance_findings(p: ParameterTuple, magic: int, enum_budget: int,
         if not is_automorphism(spc, perm):
             aut_detail = f"permutation {perm} lost by shortest-path completion"
             break
-    findings.append(("automorphism-preservation", True, aut_detail, {}))
+    findings.append(("automorphism-preservation", True, aut_detail,
+                     {"input-automorphisms": len(auts)}))
     if outcome.completable:
         try:
-            comps = enumerate_all_completions(p, g, max_missing=enum_budget)
-            opt_details, opt_stats, par_details, par_stats = _optparity(
-                p, magic, outcome.completed, comps)
-            findings.append(("optimality", True,
-                             opt_details[0] if opt_details else None, opt_stats))
-            findings.append(("parity", True,
-                             par_details[0] if par_details else None, par_stats))
+            comps = enumerate_all_completions(p, g)
         except ResourceLimitError:
             findings.append(("optimality", False, None, {"skipped": 1}))
             findings.append(("parity", False, None, {"skipped": 1}))
+        else:
+            findings.extend(_optparity(p, magic, outcome.completed, comps))
     else:
         details = _provenance_details(p, magic, g, outcome.completed)
         findings.append(("m-edge-provenance", True,
@@ -502,13 +426,12 @@ def _instance_findings(p: ParameterTuple, magic: int, enum_budget: int,
         else:
             labels = canonical_cycle(obstacle.cycle).labels
             try:
-                if _cycle_uncompletable(p, labels, brute_budget):
-                    findings.append(("obstacle-extraction", True, None, {}))
-                else:
-                    findings.append(("obstacle-extraction", True,
-                                     f"extracted cycle {labels} is completable", {}))
+                uncompletable = _cycle_uncompletable(p, labels)
             except ResourceLimitError:
                 findings.append(("obstacle-extraction", False, None, {"skipped": 1}))
+            else:
+                detail = None if uncompletable else f"extracted cycle {labels} is completable"
+                findings.append(("obstacle-extraction", True, detail, {}))
     text = serialize_graph(g) if any(f[2] for f in findings) else None
     return text, findings
 
@@ -518,7 +441,7 @@ def _random_amalgamation(p: ParameterTuple, magic: int, scope: RandomScope,
     rng = random.Random(scope.seed + 1)
     report = PropertyReport("amalgamation", 0)
     for _ in range(min(scope.count, 250)):
-        a = _random_member(p, magic, rng, rng.randint(0, 2))
+        a = _extend_member(p, magic, rng, LabelledGraph(0, p.delta), rng.randint(0, 2))
         b1 = _extend_member(p, magic, rng, a, rng.randint(a.n, max_part_size))
         b2 = _extend_member(p, magic, rng, a, rng.randint(a.n, max_part_size))
         identity = tuple(range(a.n))
@@ -531,28 +454,10 @@ def _random_amalgamation(p: ParameterTuple, magic: int, scope: RandomScope,
     return report
 
 
-def _pmap(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(items) // (jobs * 8))
-        return list(pool.map(fn, items, chunksize=chunk))
-
-
-def run_verification_suite(p: ParameterTuple, magic: int, scope, jobs: int = 1,
-                           enum_budget: int = 12, brute_budget: int = 18,
-                           amalgam_size: int = 3) -> list[PropertyReport]:
-    """Run every property over a scope and merge the reports in a fixed order.
-
-    Results are deterministic for a given scope (random scopes are seeded).
-    Budget overruns within a sub-check are counted under a "skipped" stat.
-    """
-    if magic not in eligible_magic(p):
-        raise InputError(f"{magic} is not an eligible magic distance for {p.key()}")
-    instances = scope_instances(p, magic, scope)
-    worker = functools.partial(_instance_findings, p, magic, enum_budget, brute_budget)
-    per_instance = _pmap(worker, instances, jobs)
-    reports = {name: PropertyReport(name, 0) for name in PROPERTY_ORDER}
+def _merge_findings(per_instance) -> list[PropertyReport]:
+    """One report per property in PROPERTY_ORDER, except the last one,
+    amalgamation, which is not checked per instance."""
+    reports = {name: PropertyReport(name, 0) for name in PROPERTY_ORDER[:-1]}
     for text, findings in per_instance:
         for name, counted, detail, stats in findings:
             report = reports[name]
@@ -562,9 +467,34 @@ def run_verification_suite(p: ParameterTuple, magic: int, scope, jobs: int = 1,
                 report.failures.append(Failure(text or "", detail))
             for key, value in stats.items():
                 report.stats[key] = report.stats.get(key, 0) + value
+    return list(reports.values())
+
+
+def check_instance(p: ParameterTuple, magic: int,
+                   g: LabelledGraph) -> list[PropertyReport]:
+    """Every per-instance property on one graph, with the sweep's budgets.
+
+    Properties that do not apply count zero instances: optimality and parity
+    only look at completable inputs, magic-edge provenance and obstacle
+    extraction only at uncompletable ones.
+    """
+    return _merge_findings([_instance_findings(p, magic, g)])
+
+
+def run_verification_suite(p: ParameterTuple, magic: int, scope,
+                           jobs: int = 1) -> list[PropertyReport]:
+    """Run every property over a scope and merge the reports in a fixed order.
+
+    Results are deterministic for a given scope (random scopes are seeded).
+    Budget overruns within a sub-check are counted under a "skipped" stat.
+    """
+    if magic not in eligible_magic(p):
+        raise InputError(f"{magic} is not an eligible magic distance for {p.key()}")
+    instances = scope_instances(p, magic, scope)
+    worker = functools.partial(_instance_findings, p, magic)
+    reports = _merge_findings(_pmap(worker, instances, jobs))
     if isinstance(scope, ExhaustiveScope):
-        reports["amalgamation"] = check_amalgamation(p, magic, max_part_size=amalgam_size)
+        reports.append(check_amalgamation(p, magic))
     else:
-        reports["amalgamation"] = _random_amalgamation(p, magic, scope,
-                                                       max_part_size=amalgam_size)
-    return [reports[name] for name in PROPERTY_ORDER]
+        reports.append(_random_amalgamation(p, magic, scope))
+    return reports

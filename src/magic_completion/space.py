@@ -15,6 +15,11 @@ from functools import lru_cache
 from .errors import GraphParseError, InputError, ResourceLimitError
 from .params import ParameterTuple
 
+# Largest vertex count a graph file may declare.  Completion is cubic in the
+# vertex count and builds an n x n matrix, so a header above this is refused
+# before anything is allocated.
+MAX_VERTICES = 1000
+
 
 class LabelledGraph:
     """A finite graph whose edges carry distances in 1..delta; pairs may be absent."""
@@ -214,32 +219,6 @@ def is_automorphism(g: LabelledGraph, perm: tuple[int, ...]) -> bool:
     return all(g.get(u, v) == g.get(perm[u], perm[v]) for u, v in g.pairs())
 
 
-def homomorphisms(src: LabelledGraph, dst: LabelledGraph,
-                  max_maps: int = 10_000_000) -> list[tuple[int, ...]]:
-    """All maps sending every src edge to a dst edge with the same label.
-
-    Vertices joined by an edge always get distinct images (distances have no
-    loops); unrelated vertices may collapse.
-    """
-    if src.delta != dst.delta:
-        raise InputError("source and target must share the same delta")
-    if dst.n ** src.n > max_maps:
-        raise ResourceLimitError(
-            f"{dst.n}^{src.n} candidate maps exceed the budget of {max_maps}")
-    edges = src.edges()
-    out = []
-    for image in itertools.product(range(dst.n), repeat=src.n):
-        ok = True
-        for u, v, d in edges:
-            iu, iv = image[u], image[v]
-            if iu == iv or dst.get(iu, iv) != d:
-                ok = False
-                break
-        if ok:
-            out.append(image)
-    return out
-
-
 @dataclass(frozen=True)
 class LabelledCycle:
     """A cyclic sequence of at least three distances."""
@@ -315,6 +294,9 @@ def parse_graph(text: str) -> LabelledGraph:
                 raise GraphParseError(line_no, f"non-integer header fields in {line!r}") from None
             if n < 0 or delta < 1:
                 raise GraphParseError(line_no, f"invalid header values in {line!r}")
+            if n > MAX_VERTICES:
+                raise ResourceLimitError(
+                    f"line {line_no}: {n} vertices exceed the budget of {MAX_VERTICES}")
             continue
         if tokens[0] != "e" or len(tokens) != 4:
             raise GraphParseError(line_no, f"expected 'e <u> <v> <d>', got {line!r}")

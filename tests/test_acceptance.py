@@ -8,8 +8,8 @@ brute-force oracle cross-check, not from the engine under test.
 
 import itertools
 import random
-import shutil
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -102,15 +102,14 @@ def iib_random_sweep():
 
 
 def test_criterion_1_parameter_catalogue():
-    exe = shutil.which("magic-completion")
     start = time.monotonic()
-    result = subprocess.run([exe or "magic-completion", "params", "list",
-                             "--delta", "3"],
+    result = subprocess.run([sys.executable, "-m", "magic_completion", "params",
+                             "list", "--delta", "3"],
                             capture_output=True, text=True)
     elapsed = time.monotonic() - start
     lines = result.stdout.splitlines()
-    ok = (exe is not None and result.returncode == 0
-          and lines == EXPECTED_CATALOGUE and elapsed < 1.0)
+    ok = (result.returncode == 0 and lines == EXPECTED_CATALOGUE
+          and elapsed < 1.0)
     _verdict(1, "parameter-catalogue", ok,
              f"{len(lines)} rows, {elapsed:.2f}s, limit 1s")
 

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,15 @@ def test_complete_missing_file(capsys):
     assert "error:" in err
 
 
+def test_complete_rejects_huge_vertex_count(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("graph 3000000000 5\n")
+    code, _, err = _run(capsys, "complete", "--params", "5", "3", "3", "16", "13",
+                        "--file", str(path))
+    assert code == 2
+    assert "resource limit:" in err
+
+
 def test_complete_rejects_labels_above_delta(capsys):
     code, _, err = _run(capsys, "complete", "--params", "3", "1", "3", "10", "11",
                         "--cycle", "1 1 5")
@@ -164,12 +174,31 @@ def test_verify_exhaustive(capsys):
     assert len([l for l in lines if l.startswith("PROPERTY ")]) == 7
 
 
+def test_verify_exhaustive_over_budget(capsys):
+    # 6^15 partial graphs: refused before any of them is built
+    code, _, err = _run(capsys, "verify", "--params", "5", "3", "3", "16", "13",
+                        "--exhaustive", "6")
+    assert code == 2
+    assert "resource limit:" in err
+
+
 def test_verify_random_parallel_identical(capsys):
     _, serial, _ = _run(capsys, "verify", "--params", "3", "1", "3", "10", "11",
                         "--random", "30", "--seed", "4")
     _, parallel, _ = _run(capsys, "verify", "--params", "3", "1", "3", "10", "11",
                           "--random", "30", "--seed", "4", "--jobs", "2")
     assert serial == parallel
+
+
+@pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])
+@pytest.mark.parametrize("command", [
+    ("verify", "--params", "3", "1", "3", "10", "11", "--random", "5"),
+    ("obstacles", "enumerate", "--params", "5", "3", "3", "16", "13", "--length", "3"),
+])
+def test_jobs_out_of_range(capsys, command, jobs):
+    code, _, err = _run(capsys, *command, "--jobs", str(jobs))
+    assert code == 2
+    assert "error: jobs must be between 1 and" in err
 
 
 def test_usage_errors_exit_2():

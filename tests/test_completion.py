@@ -6,8 +6,7 @@ from magic_completion import (InputError, LabelledCycle, LabelledGraph,
                               ParameterTuple, build_schedule, cycle_to_graph,
                               eligible_magic, enumerate_admissible,
                               fork_graph, magic_complete, serialize_trace,
-                              shortest_path_complete, step_completion,
-                              time_of)
+                              shortest_path_complete, time_of)
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 
@@ -77,13 +76,6 @@ def test_single_fork_completions():
     assert magic_complete(P5, 3, fork_graph(1, 5, 5)).completed.get(0, 2) == 4
     assert magic_complete(P5, 3, fork_graph(1, 1, 5)).completed.get(0, 2) == 2
     assert magic_complete(P5, 3, fork_graph(1, 2, 5)).completed.get(0, 2) == 3
-
-
-def test_step_completion_single_pass():
-    g = fork_graph(1, 5, 5)
-    _, rules = build_schedule(P5, 3)
-    stepped = step_completion(g, rules[4])
-    assert stepped.get(0, 2) == 4
 
 
 def test_four_cycle_completion():

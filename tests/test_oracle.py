@@ -1,14 +1,14 @@
 import itertools
+import types
 
 import pytest
 
+import magic_completion
 from magic_completion import (ExhaustiveScope, InputError, LabelledCycle,
                               LabelledGraph, ParameterTuple, RandomScope,
                               ResourceLimitError, amalgamate,
                               brute_force_completable, check_amalgamation,
-                              check_automorphism_preservation,
-                              check_m_edge_provenance, check_optimality,
-                              check_parity, cycle_to_graph,
+                              check_instance, cycle_to_graph,
                               enumerate_all_completions, enumerate_members,
                               fork_graph, format_report, magic_complete,
                               run_verification_suite)
@@ -16,6 +16,12 @@ from magic_completion.oracle import PROPERTY_ORDER, scope_instances
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 P3 = ParameterTuple(3, 1, 3, 10, 11)
+
+
+def _check(p, magic, g):
+    reports = check_instance(p, magic, g)
+    assert [r.name for r in reports] == list(PROPERTY_ORDER[:-1])
+    return {r.name: r for r in reports}
 
 
 def test_fork_completion_sets():
@@ -65,29 +71,40 @@ def test_engine_matches_oracle_on_forks():
 
 
 def test_optimality_on_example():
-    report = check_optimality(P5, 3, fork_graph(2, 3, 5))
+    report = _check(P5, 3, fork_graph(2, 3, 5))["optimality"]
     assert report.passed
+    assert report.instances == 1
     assert report.stats["clause1"] + report.stats["clause2"] > 0
-    with pytest.raises(InputError):
-        check_optimality(P5, 3, cycle_to_graph(LabelledCycle((1, 1, 5, 5, 5)), 5))
 
 
 def test_parity_on_example():
-    report = check_parity(P5, 3, fork_graph(1, 5, 5))
+    report = _check(P5, 3, fork_graph(1, 5, 5))["parity"]
     assert report.passed
+    assert report.instances == 1
 
 
 def test_automorphism_preservation_square():
     g = LabelledGraph(4, 5, [(0, 1, 1), (1, 2, 5), (2, 3, 1), (0, 3, 5)])
-    report = check_automorphism_preservation(P5, 3, g)
+    report = _check(P5, 3, g)["automorphism-preservation"]
     assert report.passed
     assert report.stats["input-automorphisms"] == 4
 
 
 def test_m_edge_provenance_on_uncompletable_input():
     g = cycle_to_graph(LabelledCycle((1, 1, 5, 5, 5)), 5)
-    report = check_m_edge_provenance(P5, 3, g)
-    assert report.passed
+    reports = _check(P5, 3, g)
+    assert all(r.passed for r in reports.values())
+    # optimality and parity only apply to completable inputs
+    assert {name: r.instances for name, r in reports.items()} == {
+        "oracle-equivalence": 1, "optimality": 0, "parity": 0,
+        "automorphism-preservation": 1, "m-edge-provenance": 1,
+        "obstacle-extraction": 1}
+
+
+def test_package_exports():
+    assert "check_instance" in magic_completion.__all__
+    assert not any(isinstance(getattr(magic_completion, name), types.ModuleType)
+                   for name in magic_completion.__all__)
 
 
 def test_amalgamation_example():

@@ -6,10 +6,9 @@ from magic_completion import (GraphParseError, InputError, LabelledCycle,
                               LabelledGraph, ParameterTuple, TriangleBound,
                               automorphisms, canonical_cycle,
                               classify_triangle, cycle_to_graph,
-                              forbidden_triangles, fork_graph, homomorphisms,
-                              is_member, parse_cycle, parse_graph,
-                              serialize_cycle, serialize_graph,
-                              triangle_allowed)
+                              forbidden_triangles, fork_graph, is_member,
+                              parse_cycle, parse_graph, serialize_cycle,
+                              serialize_graph, triangle_allowed)
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 
@@ -110,21 +109,6 @@ def test_automorphisms_of_alternating_square():
     g = LabelledGraph(4, 5, [(0, 1, 1), (1, 2, 5), (2, 3, 1), (0, 3, 5)])
     assert sorted(automorphisms(g)) == [
         (0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
-
-
-def test_homomorphisms_edge_into_triangle():
-    edge = LabelledGraph(2, 5, [(0, 1, 1)])
-    triangle = cycle_to_graph(LabelledCycle((1, 1, 3)), 5)
-    # ordered vertex pairs joined by a 1-edge
-    assert len(homomorphisms(edge, triangle)) == 4
-
-
-def test_homomorphisms_may_identify_nonadjacent_vertices():
-    path = fork_graph(1, 1, 5)
-    triangle = cycle_to_graph(LabelledCycle((1, 1, 3)), 5)
-    maps = homomorphisms(path, triangle)
-    assert (1, 0, 1) in maps
-    assert len(maps) == 6
 
 
 def test_canonical_cycle():
