@@ -7,6 +7,11 @@ the pair (u, v) to distance x.  Small values (x < M) are forced by sum forks
 difference forks (|a - b| = x).  Values run in increasing time-function
 order, every pass is simultaneous, and whatever survives all passes becomes
 M.  The result is scanned for forbidden triangles and certified either way.
+
+The engine keeps, for each label d and vertex u, the bitmask rows[d][u] of
+the vertices at distance d from u.  A pass ORs rows[a][u] & rows[b][v] over
+the rule's forks (a, b) for every missing pair (u, v), and the lowest set bit
+is the witness.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from functools import lru_cache
 
 from .errors import InputError, InvariantViolation
 from .params import ParameterTuple, classify_admissible, eligible_magic
-from .space import (LabelledGraph, forbidden_triangles, graph_to_matrix,
-                    matrix_to_graph)
+from .space import LabelledGraph, forbidden_triangles, label_masks
 
 FAMILY_PLUS = "plus"
 FAMILY_MINUS = "minus"
@@ -75,6 +79,10 @@ def time_of(x: int, magic: int, delta: int) -> int:
 
 @lru_cache(maxsize=None)
 def _schedule_cached(p: ParameterTuple, magic: int):
+    """Schedule, fork rules and oriented forks per target; an ineligible
+    magic value raises, and raising calls are not cached."""
+    if magic not in eligible_magic(p):
+        raise InputError(f"{magic} is not an eligible magic distance for {p.key()}")
     delta, c = p.delta, p.c
     rules: dict[int, ForkRule] = {}
     times: dict[int, int] = {}
@@ -96,14 +104,19 @@ def _schedule_cached(p: ParameterTuple, magic: int):
     if len(set(times.values())) != len(times):
         raise InvariantViolation(f"time collision in schedule for {p.key()} M={magic}")
     steps = tuple(sorted((t, x) for x, t in times.items()))
-    return Schedule(magic, steps), rules
+    oriented = {x: _oriented_forks(rule) for x, rule in rules.items()}
+    return Schedule(magic, steps), rules, oriented
+
+
+def _oriented_forks(rule: ForkRule) -> tuple[tuple[int, int], ...]:
+    """Each fork of the rule in both orientations: (a, b) matches a path
+    u-w-v with d(u, w) = a and d(w, v) = b."""
+    return tuple(sorted({(a, b) for fork in rule.forks for a, b in (fork, fork[::-1])}))
 
 
 def build_schedule(p: ParameterTuple, magic: int) -> tuple[Schedule, dict[int, ForkRule]]:
     """Schedule and fork rules for an admissible tuple and an eligible magic value."""
-    if magic not in eligible_magic(p):
-        raise InputError(f"{magic} is not an eligible magic distance for {p.key()}")
-    schedule, rules = _schedule_cached(p, magic)
+    schedule, rules, _ = _schedule_cached(p, magic)
     return schedule, dict(rules)
 
 
@@ -137,43 +150,81 @@ class CompletionOutcome:
     forbidden_triangles: tuple[tuple[int, int, int], ...]
 
 
-def _apply_rule(mat, n: int, rule: ForkRule) -> list[tuple[int, int, int, str]]:
-    """One simultaneous pass of a rule over a matrix (mutated in place).
+def _set_bits(mask: int):
+    """Positions of the set bits of a non-negative int, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Returns (u, v, witness, family) per assignment.  Re-scanning must find no
-    further match: a new edge feeding a fork of its own rule would make the
-    single simultaneous pass insufficient, which the staging is meant to
-    exclude, so that is checked every step.
+
+class _Masks:
+    """A partial graph under completion as per-label neighbour bitmasks.
+
+    rows[d][u] has bit w set when the pair (u, w) has distance d; known[u]
+    has bit w set when (u, w) has any distance, and always bit u itself.
+    dist holds the same distances keyed by the pair (u, v) with u < v.
     """
+
+    def __init__(self, g: LabelledGraph):
+        self.n = g.n
+        self.rows = label_masks(g)
+        self.known = [1 << u for u in range(g.n)]
+        for row in self.rows:
+            for u, mask in enumerate(row):
+                self.known[u] |= mask
+        self.dist = {(u, v): d for u, v, d in g.edges()}
+
+    def free(self, u: int) -> int:
+        """Mask of the vertices v > u whose pair with u is unassigned."""
+        return ((1 << self.n) - 1) & ~self.known[u] & ~((1 << u) - 1)
+
+    def witnesses(self, forks):
+        """(u, v, mask) per unassigned pair u < v, in increasing order, whose
+        mask of vertices w closing a fork (a, b) -- d(u, w) = a and
+        d(w, v) = b -- is not empty."""
+        rows = self.rows
+        for u in range(self.n):
+            left = [(rows[a][u], rows[b]) for a, b in forks if rows[a][u]]
+            for v in _set_bits(self.free(u) if left else 0):
+                hits = 0
+                for mask, row in left:
+                    hits |= mask & row[v]
+                if hits:
+                    yield u, v, hits
+
+    def assign(self, u: int, v: int, d: int) -> None:
+        self.dist[(u, v)] = d
+        row = self.rows[d]
+        row[u] |= 1 << v
+        row[v] |= 1 << u
+        self.known[u] |= 1 << v
+        self.known[v] |= 1 << u
+
+
+def _apply_rule(masks: _Masks, rule: ForkRule, forks) -> list[tuple[int, int, int, str]]:
+    """One simultaneous pass of a rule (`forks` oriented both ways) over the
+    masks, which are updated in place.
+
+    Returns (u, v, witness, family) per assignment; the witness is the
+    smallest vertex closing a fork.  Re-scanning must find no further match:
+    a new edge feeding a fork of its own rule would make the single
+    simultaneous pass insufficient, which the staging is meant to exclude, so
+    that is checked every step.
+    """
+    dist = masks.dist
     found = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if mat[u][v] is not None:
-                continue
-            for w in range(n):
-                if w == u or w == v:
-                    continue
-                a, b = mat[u][w], mat[v][w]
-                if a is None or b is None:
-                    continue
-                family = rule.family_of(a, b)
-                if family is not None:
-                    found.append((u, v, w, family))
-                    break
-    for u, v, w, family in found:
-        mat[u][v] = mat[v][u] = rule.target
-    for u in range(n):
-        for v in range(u + 1, n):
-            if mat[u][v] is not None:
-                continue
-            for w in range(n):
-                if w == u or w == v:
-                    continue
-                a, b = mat[u][w], mat[v][w]
-                if a is not None and b is not None and rule.family_of(a, b):
-                    raise InvariantViolation(
-                        f"cascade within one pass: pair ({u}, {v}) matches target "
-                        f"{rule.target} only after this step's assignments")
+    for u, v, hits in masks.witnesses(forks):
+        w = (hits & -hits).bit_length() - 1
+        a = dist[(u, w) if u < w else (w, u)]
+        b = dist[(v, w) if v < w else (w, v)]
+        found.append((u, v, w, rule.family_of(a, b)))
+    for u, v, _, _ in found:
+        masks.assign(u, v, rule.target)
+    for u, v, _ in masks.witnesses(forks):
+        raise InvariantViolation(
+            f"cascade within one pass: pair ({u}, {v}) matches target "
+            f"{rule.target} only after this step's assignments")
     return found
 
 
@@ -188,18 +239,17 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
         raise InputError(f"tuple {p.key()} is not admissible")
     if g.delta != p.delta:
         raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
-    schedule, rules = build_schedule(p, magic)
-    mat = graph_to_matrix(g)
-    records = [TraceRecord(None, (u, v), d, None, FAMILY_INPUT) for u, v, d in g.edges()]
+    schedule, rules, oriented = _schedule_cached(p, magic)
+    masks = _Masks(g)
+    records = [TraceRecord(None, pair, d, None, FAMILY_INPUT) for pair, d in masks.dist.items()]
     for step, target in schedule.steps:
-        for u, v, w, family in _apply_rule(mat, g.n, rules[target]):
+        for u, v, w, family in _apply_rule(masks, rules[target], oriented[target]):
             records.append(TraceRecord(step, (u, v), target, w, family))
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if mat[u][v] is None:
-                mat[u][v] = mat[v][u] = magic
-                records.append(TraceRecord(None, (u, v), magic, None, FAMILY_FINAL))
-    completed = matrix_to_graph(g.delta, mat)
+        for v in _set_bits(masks.free(u)):
+            masks.dist[(u, v)] = magic
+            records.append(TraceRecord(None, (u, v), magic, None, FAMILY_FINAL))
+    completed = LabelledGraph._checked(g.n, g.delta, masks.dist)
     bad = tuple(forbidden_triangles(p, completed))
     trace = CompletionTrace(p, magic, tuple(records))
     return CompletionOutcome(completed, trace, not bad, bad)
@@ -229,25 +279,19 @@ def shortest_path_complete(delta: int, g: LabelledGraph) -> LabelledGraph:
     """
     if g.delta != delta:
         raise InputError(f"graph delta {g.delta} differs from requested delta {delta}")
-    n = g.n
-    inf = float("inf")
-    dist = [[inf] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0
-    for u, v, d in g.edges():
-        dist[u][v] = dist[v][u] = d
-    for w in range(n):
-        dw = dist[w]
-        for u in range(n):
-            duw = dist[u][w]
-            if duw == inf:
-                continue
-            du = dist[u]
-            for v in range(n):
-                alt = duw + dw[v]
-                if alt < du[v]:
-                    du[v] = alt
-    edges = []
-    for u, v in itertools.combinations(range(n), 2):
-        edges.append((u, v, delta if dist[u][v] == inf else min(delta, int(dist[u][v]))))
-    return LabelledGraph(n, delta, edges)
+    rows = label_masks(g)
+    # within[k][u]: the vertices whose shortest path from u is at most k long;
+    # a path of length at most k starts with an edge u-w of some label d <= k
+    # and continues within k - d of w.
+    within = [[1 << u for u in range(g.n)]]
+    for k in range(1, delta):
+        layer = list(within[-1])
+        for u in range(g.n):
+            for d in range(1, k + 1):
+                for w in _set_bits(rows[d][u]):
+                    layer[u] |= within[k - d][w]
+        within.append(layer)
+    dist = {}
+    for u, v in itertools.combinations(range(g.n), 2):
+        dist[(u, v)] = next((k for k in range(1, delta) if within[k][u] >> v & 1), delta)
+    return LabelledGraph._checked(g.n, delta, dist)

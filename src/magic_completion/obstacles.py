@@ -22,7 +22,7 @@ from .completion import (FAMILY_CBOUND, FAMILY_FINAL, FAMILY_INPUT,
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .params import ParameterTuple
 from .space import (LabelledCycle, LabelledGraph, canonical_cycle,
-                    cycle_to_graph, forbidden_triangles)
+                    cycle_to_graph, scan_forbidden)
 
 _DERIVED = (FAMILY_PLUS, FAMILY_MINUS, FAMILY_CBOUND)
 
@@ -55,14 +55,17 @@ def extract_obstacle(p: ParameterTuple, magic: int, g: LabelledGraph,
     """
     if trace.params != p or trace.magic != magic:
         raise InputError("trace does not belong to the given parameters and magic value")
+    inputs = [(*record.pair, record.value)
+              for record in trace.records if record.family == FAMILY_INPUT]
+    if inputs != g.edges() or len(trace.records) != g.n * (g.n - 1) // 2:
+        raise InputError("trace does not belong to the given graph")
     records = trace.by_pair()
-    completed = g.with_edges(
-        (record.pair[0], record.pair[1], record.value)
-        for record in trace.records if record.family != FAMILY_INPUT)
-    bad = forbidden_triangles(p, completed)
-    if not bad:
+    completed = LabelledGraph._checked(
+        g.n, g.delta, {pair: record.value for pair, record in records.items()})
+    first = next(scan_forbidden(p, completed), None)
+    if first is None:
         raise InputError("the completion run was Completable; there is no obstacle")
-    u, v, w = bad[0]
+    u, v, w = first
     hom = [u, v, w]
     labels = [completed.get(u, v), completed.get(v, w), completed.get(w, u)]
     limit = 3 * 2 ** p.delta

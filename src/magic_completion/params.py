@@ -106,6 +106,7 @@ def clause_evaluations(p: ParameterTuple) -> list[tuple[str, bool]]:
     ]
 
 
+@lru_cache(maxsize=None)
 def classify_admissible(p: ParameterTuple) -> AdmissibilityVerdict:
     """Decide admissibility of an acceptable tuple and name its case.
 

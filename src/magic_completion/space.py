@@ -15,9 +15,10 @@ from functools import lru_cache
 from .errors import GraphParseError, InputError, ResourceLimitError
 from .params import ParameterTuple
 
-# Largest vertex count a graph file may declare.  Completion is cubic in the
-# vertex count and builds an n x n matrix, so a header above this is refused
-# before anything is allocated.
+# Largest vertex count of any graph.  Completion and the triangle scan visit
+# every pair with n-bit neighbour masks, so their cost grows faster than n^2;
+# a larger graph is refused with ResourceLimitError, and a graph file header
+# is checked before any edge is read.
 MAX_VERTICES = 1000
 
 
@@ -31,6 +32,8 @@ class LabelledGraph:
             raise InputError(f"vertex count must be a non-negative integer, got {n!r}")
         if not isinstance(delta, int) or delta < 1:
             raise InputError(f"delta must be a positive integer, got {delta!r}")
+        if n > MAX_VERTICES:
+            raise ResourceLimitError(f"{n} vertices exceed the budget of {MAX_VERTICES}")
         dist: dict[tuple[int, int], int] = {}
         for u, v, d in edges:
             if not (isinstance(u, int) and isinstance(v, int) and isinstance(d, int)):
@@ -48,6 +51,14 @@ class LabelledGraph:
         self.n = n
         self.delta = delta
         self._dist = dist
+
+    @classmethod
+    def _checked(cls, n: int, delta: int, dist: dict[tuple[int, int], int]) -> "LabelledGraph":
+        """A graph over a pair -> distance dict that its builder already
+        validated: keys (u, v) with 0 <= u < v < n, values in 1..delta."""
+        g = object.__new__(cls)
+        g.n, g.delta, g._dist = n, delta, dist
+        return g
 
     def get(self, u: int, v: int) -> int | None:
         """Distance between two distinct vertices, or None when unassigned."""
@@ -67,9 +78,6 @@ class LabelledGraph:
 
     def is_complete(self) -> bool:
         return len(self._dist) == self.n * (self.n - 1) // 2
-
-    def with_edges(self, extra) -> "LabelledGraph":
-        return LabelledGraph(self.n, self.delta, self.edges() + list(extra))
 
     def __eq__(self, other):
         return (isinstance(other, LabelledGraph)
@@ -192,15 +200,57 @@ def is_member(p: ParameterTuple, g: LabelledGraph) -> bool:
     return True
 
 
+def label_masks(g: LabelledGraph) -> list[list[int]]:
+    """rows[d][u] has bit w set when g assigns distance d to the pair (u, w)."""
+    rows = [[0] * g.n for _ in range(g.delta + 1)]
+    for (u, v), d in g._dist.items():
+        row = rows[d]
+        row[u] |= 1 << v
+        row[v] |= 1 << u
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _label_pairs(delta: int) -> tuple[tuple[int, int], ...]:
+    # one set of pair objects per delta, shared by every tuple's lists below
+    return tuple(itertools.product(range(1, delta + 1), repeat=2))
+
+
+@lru_cache(maxsize=None)
+def _forbidden_pairs(p: ParameterTuple) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Entry a lists the label pairs (b, c) with (a, b, c) forbidden.  1-based."""
+    cube = allowed_cube(p)
+    return ((),) + tuple(tuple(pair for pair in _label_pairs(p.delta)
+                               if not cube[a][pair[0]][pair[1]])
+                         for a in range(1, p.delta + 1))
+
+
+def scan_forbidden(p: ParameterTuple, g: LabelledGraph):
+    """Yield the fully assigned forbidden triples u < v < w of g in sorted order.
+
+    For each assigned pair u < v labelled a, the third vertices w are the set
+    bits of rows[b][u] & rows[c][v] over the forbidden (b, c) for a; only the
+    bits above v are kept, so every triangle is found once, from its two
+    smallest vertices.
+    """
+    if g.delta != p.delta:
+        raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
+    forbidden = _forbidden_pairs(p)
+    rows = label_masks(g)
+    for (u, v), a in sorted(g._dist.items()):
+        hits = 0
+        for b, c in forbidden[a]:
+            hits |= rows[b][u] & rows[c][v]
+        hits >>= v + 1
+        while hits:
+            low = hits & -hits
+            yield u, v, v + low.bit_length()
+            hits ^= low
+
+
 def forbidden_triangles(p: ParameterTuple, g: LabelledGraph) -> list[tuple[int, int, int]]:
     """Sorted vertex triples of g that are fully assigned and forbidden."""
-    cube = allowed_cube(p)
-    out = []
-    for u, v, w in itertools.combinations(range(g.n), 3):
-        a, b, c = g.get(u, v), g.get(u, w), g.get(v, w)
-        if a is not None and b is not None and c is not None and not cube[a][b][c]:
-            out.append((u, v, w))
-    return out
+    return list(scan_forbidden(p, g))
 
 
 def automorphisms(g: LabelledGraph, max_vertices: int = 9) -> list[tuple[int, ...]]:

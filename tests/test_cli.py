@@ -112,6 +112,13 @@ def test_complete_rejects_huge_vertex_count(capsys, tmp_path):
     assert "resource limit:" in err
 
 
+def test_complete_rejects_huge_cycle(capsys):
+    code, _, err = _run(capsys, "complete", "--params", "3", "1", "3", "10", "11",
+                        "--cycle", " ".join(["1"] * 1001))
+    assert code == 2
+    assert "resource limit:" in err
+
+
 def test_complete_rejects_labels_above_delta(capsys):
     code, _, err = _run(capsys, "complete", "--params", "3", "1", "3", "10", "11",
                         "--cycle", "1 1 5")

@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import pytest
 
-from magic_completion import (InputError, LabelledCycle, LabelledGraph,
-                              ParameterTuple, build_schedule, cycle_to_graph,
-                              eligible_magic, enumerate_admissible,
-                              fork_graph, magic_complete, serialize_trace,
-                              shortest_path_complete, time_of)
+from magic_completion import (ForkRule, InputError, InvariantViolation,
+                              LabelledCycle, LabelledGraph, ParameterTuple,
+                              build_schedule, cycle_to_graph, eligible_magic,
+                              enumerate_admissible, fork_graph, magic_complete,
+                              serialize_trace, shortest_path_complete, time_of)
+from magic_completion.completion import _apply_rule, _Masks, _oriented_forks
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 
@@ -140,6 +142,15 @@ def test_trace_records_the_simultaneous_pass():
     assert by_pair[(1, 3)].witness == 0
 
 
+def test_cascade_within_one_pass_is_refused():
+    # (0, 2) gets 2 through the fork 1-2 at vertex 1, which then closes the
+    # same fork for (2, 3) at vertex 0: one simultaneous pass would not do
+    rule = ForkRule(2, plus=frozenset({(1, 2)}), minus=frozenset(), cbound=frozenset())
+    masks = _Masks(LabelledGraph(4, 3, [(0, 1, 1), (1, 2, 2), (0, 3, 1)]))
+    with pytest.raises(InvariantViolation, match=r"cascade within one pass: pair \(2, 3\)"):
+        _apply_rule(masks, rule, _oriented_forks(rule))
+
+
 def test_magic_complete_requires_admissible_tuple():
     with pytest.raises(InputError):
         magic_complete(ParameterTuple(3, 1, 1, 10, 11), 2, LabelledGraph(2, 3))
@@ -157,3 +168,17 @@ def test_shortest_path_examples():
     assert shortest_path_complete(5, chain).get(0, 3) == 3
     with pytest.raises(InputError):
         shortest_path_complete(4, LabelledGraph(3, 5))
+
+
+def test_shortest_path_matches_floyd_warshall():
+    rng = random.Random(0)
+    for _ in range(200):
+        delta, n = rng.randint(1, 8), rng.randint(0, 12)
+        g = LabelledGraph(n, delta, [(u, v, rng.randint(1, delta))
+                                     for u, v in itertools.combinations(range(n), 2)
+                                     if rng.random() < 0.4])
+        dist = [[0 if u == v else g.get(u, v) or delta for v in range(n)] for u in range(n)]
+        for w, u, v in itertools.product(range(n), repeat=3):
+            dist[u][v] = min(dist[u][v], dist[u][w] + dist[w][v])
+        assert shortest_path_complete(delta, g).edges() == [
+            (u, v, dist[u][v]) for u, v in itertools.combinations(range(n), 2)]

@@ -60,6 +60,13 @@ def test_extraction_requires_a_failed_run():
         extract_obstacle(P5, 3, g, outcome.trace)
 
 
+def test_extraction_rejects_a_trace_of_another_graph():
+    g = cycle_to_graph(LabelledCycle((1, 1, 5, 5, 5)), 5)
+    other = cycle_to_graph(LabelledCycle((1, 5, 5, 5, 1)), 5)
+    with pytest.raises(InputError):
+        extract_obstacle(P5, 3, g, magic_complete(P5, 3, other).trace)
+
+
 def test_hom_validation_rejects_wrong_labels():
     g = cycle_to_graph(LabelledCycle((1, 1, 5, 5, 5)), 5)
     _, obstacle = _extract(P5, 3, g)

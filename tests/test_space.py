@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from magic_completion import (GraphParseError, InputError, LabelledCycle,
-                              LabelledGraph, ParameterTuple, TriangleBound,
+                              LabelledGraph, ParameterTuple,
+                              ResourceLimitError, TriangleBound,
                               automorphisms, canonical_cycle,
                               classify_triangle, cycle_to_graph,
                               forbidden_triangles, fork_graph, is_member,
@@ -67,7 +69,6 @@ def test_graph_construction_and_lookup():
     assert g.edge_count() == 2
     assert g.missing_pairs() == [(0, 2), (0, 3), (1, 2), (1, 3)]
     assert not g.is_complete()
-    assert g.with_edges([(0, 2, 1)]).get(0, 2) == 1
 
 
 def test_graph_validation():
@@ -81,6 +82,8 @@ def test_graph_validation():
         LabelledGraph(3, 5, [(0, 1, 0)])
     with pytest.raises(InputError):
         LabelledGraph(3, 5, [(0, 1, 2), (1, 0, 2)])
+    with pytest.raises(ResourceLimitError):
+        LabelledGraph(1001, 3)
 
 
 def test_fork_graph_shape():
@@ -103,6 +106,28 @@ def test_is_member():
 def test_forbidden_triangles_listing():
     g = cycle_to_graph(LabelledCycle((1, 1, 5)), 5)
     assert forbidden_triangles(P5, g) == [(0, 1, 2)]
+
+
+# one tuple per admissible case: II-A, II-B, III
+CASE_KEYS = [(5, 3, 3, 14, 13), (5, 3, 3, 16, 13), (4, 1, 4, 14, 13)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_forbidden_triangles_match_triple_loop(seed):
+    rng = random.Random(seed)
+    for key in CASE_KEYS:
+        p = ParameterTuple(*key)
+        for n in range(3, 21):
+            density = rng.uniform(0.3, 0.7)
+            g = LabelledGraph(n, p.delta, [
+                (u, v, rng.randint(1, p.delta))
+                for u, v in itertools.combinations(range(n), 2) if rng.random() < density])
+            expected = []
+            for u, v, w in itertools.combinations(range(n), 3):
+                a, b, c = g.get(u, v), g.get(u, w), g.get(v, w)
+                if None not in (a, b, c) and not triangle_allowed(p, a, b, c):
+                    expected.append((u, v, w))
+            assert forbidden_triangles(p, g) == expected
 
 
 def test_automorphisms_of_alternating_square():
