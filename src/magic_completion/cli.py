@@ -106,10 +106,9 @@ def _cmd_complete(args) -> int:
         print(serialize_graph(outcome.completed), end="")
         return 0
     print("verdict Uncompletable")
-    done = outcome.completed
-    for u, v, w in outcome.forbidden_triangles:
-        print(f"forbidden {u} {v} {w} = "
-              f"{done.get(u, v)} {done.get(u, w)} {done.get(v, w)}")
+    get = outcome.completed.get
+    print("\n".join(f"forbidden {u} {v} {w} = {get(u, v)} {get(u, w)} {get(v, w)}"
+                    for u, v, w in outcome.forbidden_triangles))
     if args.obstacle:
         obstacle = extract_obstacle(p, choice.selected, g, outcome.trace)
         print("obstacle " + " ".join(map(str, obstacle.cycle.labels)))

@@ -24,8 +24,8 @@ from .params import (CASE_III, ParameterTuple, classify_admissible,
                      eligible_magic)
 from .space import (LabelledCycle, LabelledGraph, allowed_cube, automorphisms,
                     canonical_cycle, cycle_to_graph, fork_graph,
-                    graph_to_matrix, is_automorphism, is_member,
-                    matrix_to_graph, serialize_graph)
+                    is_automorphism, is_member, label_matrix, scan_forbidden,
+                    serialize_graph)
 
 # Missing-pair budgets of the completion enumeration and the completability
 # search: the search defaults, and the budgets of every verification sweep.
@@ -79,55 +79,74 @@ def format_report(report: PropertyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int,
-            value_order: str, find_all: bool):
-    if g.delta != p.delta:
-        raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
+@lru_cache(maxsize=None)
+def _allowed_values(p: ParameterTuple) -> tuple[tuple[int, ...], ...]:
+    """masks[a][b] has bit d set when d may close a triangle whose other two
+    sides are a and b; a missing side (label 0) allows every d in 1..delta."""
     cube = allowed_cube(p)
-    mat = graph_to_matrix(g)
-    n = g.n
-    for u, v, w in itertools.combinations(range(n), 3):
-        a, b, c = mat[u][v], mat[u][w], mat[v][w]
-        if a is not None and b is not None and c is not None and not cube[a][b][c]:
-            return []
-    missing = [(u, v) for u in range(n) for v in range(u + 1, n) if mat[u][v] is None]
+    every = (1 << (p.delta + 1)) - 2
+    return tuple(tuple(sum(1 << d for d in range(1, p.delta + 1) if cube[d][a][b])
+                       if a and b else every
+                       for b in range(p.delta + 1))
+                 for a in range(p.delta + 1))
+
+
+def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
+            leaf) -> None:
+    """Depth-first search over the completions of g.
+
+    The pairs of g.missing_pairs() are filled in that order, each with the
+    entries of `values` (in their order) that keep every triangle through the
+    pair allowed.  At every completion leaf(assignment) runs, with the values
+    in missing-pair order; the search stops when it returns True.
+    """
+    # scan_forbidden also refuses a graph whose delta is not the tuple's
+    if next(scan_forbidden(p, g), None) is not None:
+        return
+    missing = g.missing_pairs()
     if len(missing) > max_missing:
         raise ResourceLimitError(
             f"{len(missing)} missing pairs exceed the search budget of {max_missing}")
-    if value_order == "ascending":
-        values = list(range(1, p.delta + 1))
-    elif value_order == "descending":
-        values = list(range(p.delta, 0, -1))
-    else:
-        raise InputError(f"unknown value order {value_order!r}")
-    results: list[LabelledGraph] = []
-
-    def consistent(u: int, v: int, val: int) -> bool:
-        row_u, row_v = mat[u], mat[v]
-        for w in range(n):
-            if w == u or w == v:
-                continue
-            a, b = row_u[w], row_v[w]
-            if a is not None and b is not None and not cube[val][a][b]:
-                return False
-        return True
+    masks = _allowed_values(p)
+    every = masks[0][0]
+    mat = label_matrix(g)
+    assignment = [0] * len(missing)
 
     def descend(idx: int) -> bool:
         if idx == len(missing):
-            results.append(matrix_to_graph(p.delta, mat))
-            return not find_all
+            return leaf(assignment)
         u, v = missing[idx]
-        for val in values:
-            if consistent(u, v, val):
-                mat[u][v] = mat[v][u] = val
+        row_u, row_v = mat[u], mat[v]
+        domain = every
+        # the diagonal and the pair itself are 0, so they constrain nothing
+        for a, b in zip(row_u, row_v):
+            domain &= masks[a][b]
+        for d in values:
+            if domain >> d & 1:
+                row_u[v] = row_v[u] = assignment[idx] = d
                 if descend(idx + 1):
-                    mat[u][v] = mat[v][u] = None
                     return True
-                mat[u][v] = mat[v][u] = None
+        row_u[v] = row_v[u] = 0
         return False
 
     descend(0)
-    return results
+
+
+def _completions(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
+                 first: bool) -> list[LabelledGraph]:
+    """The completions of g as graphs, in search order; only one if `first`."""
+    pairs = g.missing_pairs()
+    base = {(u, v): d for u, v, d in g.edges()}
+    out: list[LabelledGraph] = []
+
+    def leaf(assignment) -> bool:
+        dist = base.copy()
+        dist.update(zip(pairs, assignment))
+        out.append(LabelledGraph._checked(g.n, g.delta, dist))
+        return first
+
+    _search(p, g, max_missing, values, leaf)
+    return out
 
 
 def brute_force_completable(p: ParameterTuple, g: LabelledGraph,
@@ -135,15 +154,36 @@ def brute_force_completable(p: ParameterTuple, g: LabelledGraph,
                             value_order: str = "ascending") -> LabelledGraph | None:
     """First completion in depth-first order, or None.  value_order exists so
     tests can confirm the verdict does not depend on the search order."""
-    results = _search(p, g, max_missing, value_order, find_all=False)
+    if value_order == "ascending":
+        values = range(1, p.delta + 1)
+    elif value_order == "descending":
+        values = range(p.delta, 0, -1)
+    else:
+        raise InputError(f"unknown value order {value_order!r}")
+    results = _completions(p, g, max_missing, values, first=True)
     return results[0] if results else None
 
 
 def enumerate_all_completions(p: ParameterTuple, g: LabelledGraph,
                               max_missing: int = ENUM_BUDGET) -> CompletionSet:
     """Every completion, ordered lexicographically by the assignment vector."""
-    results = _search(p, g, max_missing, "ascending", find_all=True)
+    results = _completions(p, g, max_missing, range(1, p.delta + 1), first=False)
     return CompletionSet(g, tuple(results))
+
+
+def _value_counts(p: ParameterTuple, g: LabelledGraph) -> list[list[int]]:
+    """counts[i][d]: the number of completions of g that give the i-th pair
+    of g.missing_pairs() the value d; the column counts of
+    enumerate_all_completions without building a graph per completion."""
+    counts = [[0] * (p.delta + 1) for _ in g.missing_pairs()]
+
+    def leaf(assignment) -> bool:
+        for row, d in zip(counts, assignment):
+            row[d] += 1
+        return False
+
+    _search(p, g, ENUM_BUDGET, range(1, p.delta + 1), leaf)
+    return counts
 
 
 def enumerate_members(p: ParameterTuple, size: int) -> list[LabelledGraph]:
@@ -154,14 +194,14 @@ def enumerate_members(p: ParameterTuple, size: int) -> list[LabelledGraph]:
 
 
 def _optparity(p: ParameterTuple, magic: int, completed: LabelledGraph,
-               comps: CompletionSet):
-    """Optimality and parity findings on one instance, from one shared scan."""
+               pairs: list[tuple[int, int]], counts: list[list[int]]):
+    """Optimality and parity findings on one instance, from one scan of the
+    value counts of its missing pairs.  Each (pair, value) adds its count to
+    the clause stats; the reported failure is the first in pair order."""
     case = classify_admissible(p).case_tag
     opt_stats = {"clause1": 0, "clause2": 0, "clause3": 0}
     par_stats = {"parity-exception": 0}
-    opt_details: list[str] = []
-    par_details: list[str] = []
-    pairs = comps.base.missing_pairs()
+    opt_detail = par_detail = None
     parity_exception_possible = (
         case == CASE_III
         and p.c == 2 * p.delta + p.k1 + 1
@@ -169,30 +209,28 @@ def _optparity(p: ParameterTuple, magic: int, completed: LabelledGraph,
         and magic > p.k1 > 1)
     low = min(p.k1, magic - 1)
     high = max(p.k2, magic + 1)
-    for other in comps.completions:
-        for u, v in pairs:
-            dbar = completed.get(u, v)
-            dprime = other.get(u, v)
+    for (u, v), row in zip(pairs, counts):
+        dbar = completed.get(u, v)
+        for dprime, count in enumerate(row):
+            if not count:
+                continue
             if dprime >= dbar >= magic:
-                opt_stats["clause1"] += 1
+                opt_stats["clause1"] += count
             elif dprime <= dbar <= magic:
-                opt_stats["clause2"] += 1
+                opt_stats["clause2"] += count
             elif (case == "II-B" and dbar == magic - 1 and dprime > magic
                   and (dprime - dbar) % 2 == 0):
-                opt_stats["clause3"] += 1
-            else:
-                opt_details.append(
-                    f"pair ({u}, {v}): engine={dbar} other={dprime} magic={magic}")
-            if dbar <= low or dbar >= high:
-                if (dprime - dbar) % 2 != 0:
-                    if parity_exception_possible and dbar == p.k1:
-                        par_stats["parity-exception"] += 1
-                    else:
-                        par_details.append(
-                            f"pair ({u}, {v}): engine={dbar} other={dprime} "
-                            f"differ in parity")
-    return [("optimality", True, opt_details[0] if opt_details else None, opt_stats),
-            ("parity", True, par_details[0] if par_details else None, par_stats)]
+                opt_stats["clause3"] += count
+            elif opt_detail is None:
+                opt_detail = f"pair ({u}, {v}): engine={dbar} other={dprime} magic={magic}"
+            if (dbar <= low or dbar >= high) and (dprime - dbar) % 2 != 0:
+                if parity_exception_possible and dbar == p.k1:
+                    par_stats["parity-exception"] += count
+                elif par_detail is None:
+                    par_detail = (f"pair ({u}, {v}): engine={dbar} other={dprime} "
+                                  f"differ in parity")
+    return [("optimality", True, opt_detail, opt_stats),
+            ("parity", True, par_detail, par_stats)]
 
 
 def _provenance_details(p: ParameterTuple, magic: int, g: LabelledGraph,
@@ -324,11 +362,11 @@ def _extend_member(p: ParameterTuple, magic: int, rng: random.Random,
     vertex falls back to the magic distance, which always works.
     """
     cube = allowed_cube(p)
-    mat = graph_to_matrix(LabelledGraph(size, p.delta, base.edges()))
+    mat = label_matrix(LabelledGraph(size, p.delta, base.edges()))
     for v in range(base.n, size):
         for u in range(v):
             options = [val for val in range(1, p.delta + 1)
-                       if all(mat[u][w] is None or mat[v][w] is None
+                       if all(not mat[u][w] or not mat[v][w]
                               or cube[val][mat[u][w]][mat[v][w]]
                               for w in range(v))]
             if not options:
@@ -336,7 +374,8 @@ def _extend_member(p: ParameterTuple, magic: int, rng: random.Random,
                     mat[w][v] = mat[v][w] = magic
                 break
             mat[u][v] = mat[v][u] = rng.choice(options)
-    return matrix_to_graph(p.delta, mat)
+    return LabelledGraph._checked(size, p.delta, {
+        (u, v): mat[u][v] for u, v in itertools.combinations(range(size), 2) if mat[u][v]})
 
 
 def _random_instance(p: ParameterTuple, magic: int, rng: random.Random,
@@ -408,12 +447,13 @@ def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
                      {"input-automorphisms": len(auts)}))
     if outcome.completable:
         try:
-            comps = enumerate_all_completions(p, g)
+            counts = _value_counts(p, g)
         except ResourceLimitError:
             findings.append(("optimality", False, None, {"skipped": 1}))
             findings.append(("parity", False, None, {"skipped": 1}))
         else:
-            findings.extend(_optparity(p, magic, outcome.completed, comps))
+            findings.extend(_optparity(p, magic, outcome.completed,
+                                       g.missing_pairs(), counts))
     else:
         details = _provenance_details(p, magic, g, outcome.completed)
         findings.append(("m-edge-provenance", True,

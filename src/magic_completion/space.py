@@ -106,23 +106,6 @@ def fork_graph(a: int, b: int, delta: int) -> LabelledGraph:
     return LabelledGraph(3, delta, [(0, 1, a), (1, 2, b)])
 
 
-def graph_to_matrix(g: LabelledGraph) -> list[list[int | None]]:
-    """Square matrix view: 0 on the diagonal, None for missing pairs."""
-    mat: list[list[int | None]] = [[None] * g.n for _ in range(g.n)]
-    for i in range(g.n):
-        mat[i][i] = 0
-    for u, v, d in g.edges():
-        mat[u][v] = mat[v][u] = d
-    return mat
-
-
-def matrix_to_graph(delta: int, mat) -> LabelledGraph:
-    n = len(mat)
-    edges = [(u, v, mat[u][v]) for u in range(n) for v in range(u + 1, n)
-             if mat[u][v] is not None]
-    return LabelledGraph(n, delta, edges)
-
-
 class TriangleBound(Enum):
     NON_METRIC = "NonMetric"
     K1 = "K1Bound"
@@ -200,6 +183,15 @@ def is_member(p: ParameterTuple, g: LabelledGraph) -> bool:
     return True
 
 
+def label_matrix(g: LabelledGraph) -> list[list[int]]:
+    """mat[u][v] is the distance of the pair (u, v); 0 where it is missing
+    and on the diagonal."""
+    mat = [[0] * g.n for _ in range(g.n)]
+    for (u, v), d in g._dist.items():
+        mat[u][v] = mat[v][u] = d
+    return mat
+
+
 def label_masks(g: LabelledGraph) -> list[list[int]]:
     """rows[d][u] has bit w set when g assigns distance d to the pair (u, w)."""
     rows = [[0] * g.n for _ in range(g.delta + 1)]
@@ -254,14 +246,38 @@ def forbidden_triangles(p: ParameterTuple, g: LabelledGraph) -> list[tuple[int, 
 
 
 def automorphisms(g: LabelledGraph, max_vertices: int = 9) -> list[tuple[int, ...]]:
-    """All label-preserving vertex permutations, by brute force."""
+    """All label-preserving vertex permutations, in lexicographic order.
+
+    Depth-first over partial permutations: vertex i goes to the smallest
+    unused image whose row of labels has the same multiset as i's and whose
+    labels towards the images of 0..i-1 equal i's labels towards 0..i-1, so a
+    mismatched pair prunes every extension of the prefix.
+    """
     if g.n > max_vertices:
         raise ResourceLimitError(
             f"automorphism search on {g.n} vertices exceeds the budget of {max_vertices}")
+    n = g.n
+    mat = label_matrix(g)
+    profiles = [sorted(row) for row in mat]
+    candidates = [[x for x in range(n) if profiles[x] == profiles[i]] for i in range(n)]
+    perm = [0] * n
+    used = [False] * n
     out = []
-    for perm in itertools.permutations(range(g.n)):
-        if all(g.get(u, v) == g.get(perm[u], perm[v]) for u, v in g.pairs()):
-            out.append(perm)
+
+    def extend(i: int) -> None:
+        if i == n:
+            out.append(tuple(perm))
+            return
+        row = mat[i]
+        for x in candidates[i]:
+            image = mat[x]
+            if not used[x] and all(row[j] == image[perm[j]] for j in range(i)):
+                perm[i] = x
+                used[x] = True
+                extend(i + 1)
+                used[x] = False
+
+    extend(0)
     return out
 
 
@@ -328,8 +344,8 @@ def parse_graph(text: str) -> LabelledGraph:
     Errors carry the offending line number.
     """
     n = delta = None
-    entries: list[tuple[int, int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
+    dist: dict[tuple[int, int], int] = {}
+    seen: dict[tuple[int, int], int] = {}  # pair -> line that set it
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -365,10 +381,10 @@ def parse_graph(text: str) -> LabelledGraph:
             raise GraphParseError(
                 line_no, f"duplicate distance for pair {key} (first set on line {seen[key]})")
         seen[key] = line_no
-        entries.append((key[0], key[1], d))
+        dist[key] = d
     if n is None:
         raise GraphParseError(1, "missing 'graph <n> <delta>' header")
-    return LabelledGraph(n, delta, entries)
+    return LabelledGraph._checked(n, delta, dist)
 
 
 def serialize_graph(g: LabelledGraph) -> str:

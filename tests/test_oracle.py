@@ -1,18 +1,21 @@
+import dataclasses
 import itertools
 import types
 
 import pytest
 
 import magic_completion
-from magic_completion import (ExhaustiveScope, InputError, LabelledCycle,
+from magic_completion import (ExhaustiveScope, Failure, InputError, LabelledCycle,
                               LabelledGraph, ParameterTuple, RandomScope,
                               ResourceLimitError, amalgamate,
                               brute_force_completable, check_amalgamation,
                               check_instance, cycle_to_graph,
                               enumerate_all_completions, enumerate_members,
                               fork_graph, format_report, magic_complete,
-                              run_verification_suite)
-from magic_completion.oracle import PROPERTY_ORDER, scope_instances
+                              run_verification_suite, serialize_graph)
+from magic_completion import oracle
+from magic_completion.oracle import (PROPERTY_ORDER, _value_counts,
+                                     scope_instances)
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 P3 = ParameterTuple(3, 1, 3, 10, 11)
@@ -60,6 +63,22 @@ def test_empty_graph_completions_are_members():
     assert (1, 1, 3) not in values
 
 
+# one tuple per admissible case, with its selected magic value: III, II-A, II-B
+CASES = [(ParameterTuple(4, 1, 4, 14, 13), 2), (ParameterTuple(5, 3, 3, 14, 13), 3),
+         (ParameterTuple(5, 3, 3, 16, 13), 3)]
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_value_counts_are_completion_columns(n):
+    for p, magic in CASES:
+        for g in scope_instances(p, magic, RandomScope(6, seed=n, vertices=n))[-6:]:
+            completions = enumerate_all_completions(p, g).completions
+            expected = [[sum(h.get(u, v) == d for h in completions)
+                         for d in range(p.delta + 1)]
+                        for u, v in g.missing_pairs()]
+            assert _value_counts(p, g) == expected
+
+
 def test_engine_matches_oracle_on_forks():
     for a in range(1, 6):
         for b in range(a, 6):
@@ -75,6 +94,28 @@ def test_optimality_on_example():
     assert report.passed
     assert report.instances == 1
     assert report.stats["clause1"] + report.stats["clause2"] > 0
+
+
+@pytest.mark.parametrize("name, detail", [
+    ("optimality", "pair (0, 3): engine=4 other=1 magic=3"),
+    ("parity", "pair (0, 3): engine=4 other=1 differ in parity")],
+    ids=["optimality", "parity"])
+def test_wrong_derived_value_is_reported(monkeypatch, name, detail):
+    # the engine gives all three missing pairs 3; the completions give (0, 3)
+    # every value, so an engine value of 4 there breaks both properties
+    g = LabelledGraph(4, 5, [(0, 1, 2), (1, 2, 3), (2, 3, 2)])
+
+    def wrong_at_0_3(p, magic, graph):
+        outcome = magic_complete(p, magic, graph)
+        edges = [(u, v, 4 if (u, v) == (0, 3) else d)
+                 for u, v, d in outcome.completed.edges()]
+        return dataclasses.replace(outcome, completed=LabelledGraph(4, 5, edges))
+
+    assert magic_complete(P5, 3, g).completed.get(0, 3) == 3
+    monkeypatch.setattr(oracle, "magic_complete", wrong_at_0_3)
+    report = _check(P5, 3, g)[name]
+    assert report.instances == 1
+    assert report.failures == [Failure(serialize_graph(g), detail)]
 
 
 def test_parity_on_example():
@@ -182,6 +223,16 @@ def test_suite_random_smoke():
     by_name = {r.name: r for r in reports}
     assert by_name["oracle-equivalence"].instances == 55
     assert by_name["optimality"].stats["clause1"] > 0
+
+
+def test_suite_random_stats_are_pinned():
+    by_name = {r.name: r for r in run_verification_suite(P5, 3, RandomScope(60, seed=8))}
+    assert all(r.passed for r in by_name.values())
+    assert by_name["optimality"].instances == 51
+    assert by_name["optimality"].stats == {
+        "clause1": 160208, "clause2": 64752, "clause3": 104}
+    assert by_name["parity"].stats == {"parity-exception": 0}
+    assert by_name["automorphism-preservation"].stats == {"input-automorphisms": 90}
 
 
 def test_suite_parallel_matches_serial():

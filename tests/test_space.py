@@ -136,6 +136,25 @@ def test_automorphisms_of_alternating_square():
         (0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
 
 
+def test_automorphisms_match_all_permutations():
+    rng = random.Random(4)
+    for i in range(3000):
+        # the reference tries all n! permutations, so 7 vertices only now and then
+        n = 7 if i % 30 == 0 else rng.randint(0, 6)
+        delta = rng.randint(1, 4)
+        missing = rng.random()
+        g = LabelledGraph(n, delta, [
+            (u, v, rng.randint(1, delta))
+            for u, v in itertools.combinations(range(n), 2) if rng.random() >= missing])
+        expected = [perm for perm in itertools.permutations(range(n))
+                    if all(g.get(u, v) == g.get(perm[u], perm[v]) for u, v in g.pairs())]
+        assert automorphisms(g) == expected
+    with pytest.raises(ResourceLimitError):
+        automorphisms(LabelledGraph(10, 3))
+    with pytest.raises(ResourceLimitError):
+        automorphisms(LabelledGraph(4, 3), max_vertices=3)
+
+
 def test_canonical_cycle():
     assert canonical_cycle(LabelledCycle((5, 1, 5, 5, 1))).labels == (1, 5, 1, 5, 5)
     assert canonical_cycle(LabelledCycle((3, 2, 1))).labels == (1, 2, 3)
