@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .completion import magic_complete, serialize_trace, shortest_path_complete
 from .errors import InputError, InvariantViolation, ResourceLimitError
@@ -20,8 +21,8 @@ from .params import (ParameterTuple, acceptability_failures,
                      classify_admissible, clause_evaluations,
                      enumerate_admissible, format_catalogue_row,
                      select_magic_parameter)
-from .space import (cycle_to_graph, fork_graph, parse_cycle, parse_graph,
-                    serialize_graph)
+from .space import (cycle_to_graph, fork_graph, label_matrix, parse_cycle,
+                    parse_graph, serialize_graph)
 
 
 def _params_from(args) -> ParameterTuple:
@@ -106,8 +107,10 @@ def _cmd_complete(args) -> int:
         print(serialize_graph(outcome.completed), end="")
         return 0
     print("verdict Uncompletable")
-    get = outcome.completed.get
-    print("\n".join(f"forbidden {u} {v} {w} = {get(u, v)} {get(u, w)} {get(v, w)}"
+    mat = label_matrix(outcome.completed)
+    text = [str(i) for i in range(max(g.n, p.delta + 1))]
+    print("\n".join(f"forbidden {text[u]} {text[v]} {text[w]} = "
+                    f"{text[mat[u][v]]} {text[mat[u][w]]} {text[mat[v][w]]}"
                     for u, v, w in outcome.forbidden_triangles))
     if args.obstacle:
         obstacle = extract_obstacle(p, choice.selected, g, outcome.trace)
@@ -224,8 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process; parse_args leaves it
+    as it was, so every call can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (InputError, OSError) as exc:

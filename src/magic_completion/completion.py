@@ -19,10 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
 from .params import ParameterTuple, classify_admissible, eligible_magic
-from .space import LabelledGraph, forbidden_triangles, label_masks
+from .space import LabelledGraph, _forbidden_in, label_masks
 
 FAMILY_PLUS = "plus"
 FAMILY_MINUS = "minus"
@@ -120,10 +121,10 @@ def build_schedule(p: ParameterTuple, magic: int) -> tuple[Schedule, dict[int, F
     return schedule, dict(rules)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """How one pair got its distance.  step/witness are None for input and
-    final-M records."""
+    final-M records.  A tuple, so a record equals the plain tuple of its
+    fields."""
 
     step: int | None
     pair: tuple[int, int]
@@ -247,10 +248,10 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
             records.append(TraceRecord(step, (u, v), target, w, family))
     for u in range(g.n):
         for v in _set_bits(masks.free(u)):
-            masks.dist[(u, v)] = magic
+            masks.assign(u, v, magic)
             records.append(TraceRecord(None, (u, v), magic, None, FAMILY_FINAL))
     completed = LabelledGraph._checked(g.n, g.delta, masks.dist)
-    bad = tuple(forbidden_triangles(p, completed))
+    bad = tuple(_forbidden_in(p, masks.rows, masks.dist))
     trace = CompletionTrace(p, magic, tuple(records))
     return CompletionOutcome(completed, trace, not bad, bad)
 

@@ -91,45 +91,132 @@ def _allowed_values(p: ParameterTuple) -> tuple[tuple[int, ...], ...]:
                  for a in range(p.delta + 1))
 
 
+def _constraints(p: ParameterTuple, g: LabelledGraph, missing: list[tuple[int, int]]):
+    """(static, singles, doubles): per missing pair, what limits its values
+    once the earlier missing pairs are filled; masks is _allowed_values(p).
+
+    static[i] is the mask of values that the given edges allow for the i-th
+    pair.  singles[i] lists (j, col) for each triangle whose other sides are
+    a given edge and the earlier missing pair j: col[value of j] masks the
+    i-th pair.  doubles[i] lists (j, k) for each triangle whose other sides
+    are the earlier missing pairs j and k: masks[value of j][value of k]
+    masks the i-th pair.  Triangles through a later missing pair constrain
+    nothing yet and are left out.
+    """
+    masks = _allowed_values(p)
+    mat = label_matrix(g)
+    # index[u][w]: the position of the pair (u, w) in `missing`, if it is there
+    index = [[len(missing)] * g.n for _ in range(g.n)]
+    for i, (u, v) in enumerate(missing):
+        index[u][v] = index[v][u] = i
+    static, singles, doubles = [], [], []
+    for i, (u, v) in enumerate(missing):
+        dom, one, two = masks[0][0], [], []
+        for w in range(g.n):
+            if w == u or w == v:
+                continue
+            a, b = mat[u][w], mat[v][w]
+            j, k = index[u][w], index[v][w]
+            if a and b:
+                dom &= masks[a][b]
+            elif a and k < i:
+                one.append((k, masks[a]))
+            elif b and j < i:
+                # masks[x][b] == masks[b][x]: the bounds ignore the side order
+                one.append((j, masks[b]))
+            elif not a and not b and j < i and k < i:
+                two.append((j, k))
+        static.append(dom)
+        singles.append(tuple(one))
+        doubles.append(tuple(two))
+    return static, singles, doubles
+
+
 def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
-            leaf) -> None:
+            leaf=None) -> tuple[int, list[list[int]]]:
     """Depth-first search over the completions of g.
 
     The pairs of g.missing_pairs() are filled in that order, each with the
     entries of `values` (in their order) that keep every triangle through the
-    pair allowed.  At every completion leaf(assignment) runs, with the values
-    in missing-pair order; the search stops when it returns True.
+    pair allowed.  If given, leaf(assignment) runs at every completion, with
+    the values in missing-pair order, and the search stops when it returns
+    True.  Returns (completions, counts): the number of completions visited,
+    and counts[i][d], the number of them that give the i-th pair the value d.
+    Each node adds up the completions below it, so no completion's
+    assignment is walked to count it.  Without a leaf no node fills the last
+    pair: its allowed values are tallied per distinct mask and spread over
+    its counts once the search is done.
     """
+    missing = g.missing_pairs()
+    counts = [[0] * (p.delta + 1) for _ in missing]
     # scan_forbidden also refuses a graph whose delta is not the tuple's
     if next(scan_forbidden(p, g), None) is not None:
-        return
-    missing = g.missing_pairs()
+        return 0, counts
     if len(missing) > max_missing:
         raise ResourceLimitError(
             f"{len(missing)} missing pairs exceed the search budget of {max_missing}")
-    masks = _allowed_values(p)
-    every = masks[0][0]
-    mat = label_matrix(g)
     assignment = [0] * len(missing)
+    if not missing:
+        if leaf is not None:
+            leaf(assignment)
+        return 1, counts
+    masks = _allowed_values(p)
+    static, singles, doubles = _constraints(p, g, missing)
+    wanted = sum(1 << d for d in values)
+    size = [bin(m & wanted).count("1") for m in range(1 << (p.delta + 1))]
+    deepest = len(missing) - 1
+    tally = leaf is None
+    # the last pair's allowed values -> the number of nodes that reached them
+    last: dict[int, int] = {}
+    stop = False
 
-    def descend(idx: int) -> bool:
-        if idx == len(missing):
-            return leaf(assignment)
-        u, v = missing[idx]
-        row_u, row_v = mat[u], mat[v]
-        domain = every
-        # the diagonal and the pair itself are 0, so they constrain nothing
-        for a, b in zip(row_u, row_v):
-            domain &= masks[a][b]
+    def descend(idx: int, dom: int) -> int:
+        """Completions below the node that fills pair idx, whose allowed
+        values are the bits of dom."""
+        nonlocal stop
+        row = counts[idx]
+        found = 0
+        if idx == deepest:
+            # every allowed value completes the graph; no pair below reads it
+            for d in values:
+                if dom >> d & 1:
+                    row[d] += 1
+                    found += 1
+                    if not tally:
+                        assignment[idx] = d
+                        if leaf(assignment):
+                            stop = True
+                            break
+            return found
+        nxt = idx + 1
+        base, one, two = static[nxt], singles[nxt], doubles[nxt]
         for d in values:
-            if domain >> d & 1:
-                row_u[v] = row_v[u] = assignment[idx] = d
-                if descend(idx + 1):
-                    return True
-        row_u[v] = row_v[u] = 0
-        return False
+            if dom >> d & 1:
+                assignment[idx] = d
+                sub = base
+                for j, col in one:
+                    sub &= col[assignment[j]]
+                for j, k in two:
+                    sub &= masks[assignment[j]][assignment[k]]
+                if not sub:
+                    continue
+                if tally and nxt == deepest:
+                    last[sub] = last.get(sub, 0) + 1
+                    below = size[sub]
+                else:
+                    below = descend(nxt, sub)
+                row[d] += below
+                found += below
+                if stop:
+                    break
+        return found
 
-    descend(0)
+    total = descend(0, static[0])
+    for dom, times in last.items():
+        for d in values:
+            if dom >> d & 1:
+                counts[deepest][d] += times
+    return total, counts
 
 
 def _completions(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
@@ -171,19 +258,12 @@ def enumerate_all_completions(p: ParameterTuple, g: LabelledGraph,
     return CompletionSet(g, tuple(results))
 
 
-def _value_counts(p: ParameterTuple, g: LabelledGraph) -> list[list[int]]:
-    """counts[i][d]: the number of completions of g that give the i-th pair
-    of g.missing_pairs() the value d; the column counts of
-    enumerate_all_completions without building a graph per completion."""
-    counts = [[0] * (p.delta + 1) for _ in g.missing_pairs()]
-
-    def leaf(assignment) -> bool:
-        for row, d in zip(counts, assignment):
-            row[d] += 1
-        return False
-
-    _search(p, g, ENUM_BUDGET, range(1, p.delta + 1), leaf)
-    return counts
+def _value_counts(p: ParameterTuple, g: LabelledGraph) -> tuple[int, list[list[int]]]:
+    """_search's (completions, counts) of g within ENUM_BUDGET: the column
+    counts of enumerate_all_completions without building a graph per
+    completion.  The total is exact for a complete g too, which has no
+    columns."""
+    return _search(p, g, ENUM_BUDGET, range(1, p.delta + 1))
 
 
 def enumerate_members(p: ParameterTuple, size: int) -> list[LabelledGraph]:
@@ -271,7 +351,8 @@ def _glue(p: ParameterTuple, a: LabelledGraph, b1: LabelledGraph,
     """Free superposition of b1 and b2 over their shared copies of a.
 
     The glued graph keeps b1's vertex ids; vertices of b2 outside the shared
-    part get fresh ids.  Pairs across the two sides stay missing.
+    part get fresh ids.  Pairs across the two sides stay missing.  Class
+    membership of the sides is left to _require_members.
     """
     for name, graph in (("a", a), ("b1", b1), ("b2", b2)):
         if graph.delta != p.delta:
@@ -286,8 +367,6 @@ def _glue(p: ParameterTuple, a: LabelledGraph, b1: LabelledGraph,
         for x, y in a.pairs():
             if a.get(x, y) != b.get(emb[x], emb[y]):
                 raise InputError(f"{name} does not preserve labels")
-    if not is_member(p, b1) or not is_member(p, b2):
-        raise InputError("both sides of an amalgam must belong to the class")
     mapping: dict[int, int] = {}
     for x in range(a.n):
         mapping[emb2[x]] = emb1[x]
@@ -306,6 +385,11 @@ def _glue(p: ParameterTuple, a: LabelledGraph, b1: LabelledGraph,
     return LabelledGraph(next_id, p.delta, edges)
 
 
+def _require_members(p: ParameterTuple, *sides: LabelledGraph) -> None:
+    if not all(is_member(p, b) for b in sides):
+        raise InputError("both sides of an amalgam must belong to the class")
+
+
 def amalgamate(p: ParameterTuple, magic: int, a: LabelledGraph,
                b1: LabelledGraph, b2: LabelledGraph,
                emb1: tuple[int, ...], emb2: tuple[int, ...]):
@@ -313,7 +397,9 @@ def amalgamate(p: ParameterTuple, magic: int, a: LabelledGraph,
 
     For admissible parameters the outcome must always be Completable.
     """
-    return magic_complete(p, magic, _glue(p, a, b1, b2, emb1, emb2))
+    glued = _glue(p, a, b1, b2, emb1, emb2)
+    _require_members(p, b1, b2)
+    return magic_complete(p, magic, glued)
 
 
 def check_amalgamation(p: ParameterTuple, magic: int,
@@ -321,6 +407,9 @@ def check_amalgamation(p: ParameterTuple, magic: int,
     """Exhaustive strong-amalgamation sweep over small complete members."""
     members = {size: enumerate_members(p, size)
                for size in range(0, max_part_size + 1)}
+    # every side is one of these members, so each is checked once, not per pair
+    for size in members:
+        _require_members(p, *members[size])
     report = PropertyReport("amalgamation", 0)
     for a_size in range(0, max_part_size + 1):
         for a in members[a_size]:
@@ -425,8 +514,17 @@ def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
     """
     findings: list[tuple[str, bool, str | None, dict[str, int]]] = []
     outcome = magic_complete(p, magic, g)
+    # the value tallies of a completable verdict also decide whether the
+    # search finds a completion; the first-completion search runs otherwise
+    tally = None
+    if outcome.completable:
+        try:
+            tally = _value_counts(p, g)
+        except ResourceLimitError:
+            pass
     try:
-        found = brute_force_completable(p, g) is not None
+        found = (tally[0] > 0 if tally is not None
+                 else brute_force_completable(p, g) is not None)
     except ResourceLimitError:
         findings.append(("oracle-equivalence", False, None, {"skipped": 1}))
     else:
@@ -446,14 +544,12 @@ def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
     findings.append(("automorphism-preservation", True, aut_detail,
                      {"input-automorphisms": len(auts)}))
     if outcome.completable:
-        try:
-            counts = _value_counts(p, g)
-        except ResourceLimitError:
+        if tally is None:
             findings.append(("optimality", False, None, {"skipped": 1}))
             findings.append(("parity", False, None, {"skipped": 1}))
         else:
             findings.extend(_optparity(p, magic, outcome.completed,
-                                       g.missing_pairs(), counts))
+                                       g.missing_pairs(), tally[1]))
     else:
         details = _provenance_details(p, magic, g, outcome.completed)
         findings.append(("m-edge-provenance", True,
@@ -486,6 +582,7 @@ def _random_amalgamation(p: ParameterTuple, magic: int, scope: RandomScope,
         b2 = _extend_member(p, magic, rng, a, rng.randint(a.n, max_part_size))
         identity = tuple(range(a.n))
         glued = _glue(p, a, b1, b2, identity, identity)
+        _require_members(p, b1, b2)
         report.instances += 1
         if not magic_complete(p, magic, glued).completable:
             report.failures.append(Failure(

@@ -176,11 +176,7 @@ def is_member(p: ParameterTuple, g: LabelledGraph) -> bool:
         raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
     if not g.is_complete():
         raise InputError("membership is only defined for complete graphs")
-    cube = allowed_cube(p)
-    for u, v, w in itertools.combinations(range(g.n), 3):
-        if not cube[g.get(u, v)][g.get(u, w)][g.get(v, w)]:
-            return False
-    return True
+    return next(scan_forbidden(p, g), None) is None
 
 
 def label_matrix(g: LabelledGraph) -> list[list[int]]:
@@ -217,32 +213,54 @@ def _forbidden_pairs(p: ParameterTuple) -> tuple[tuple[tuple[int, int], ...], ..
                          for a in range(1, p.delta + 1))
 
 
-def scan_forbidden(p: ParameterTuple, g: LabelledGraph):
-    """Yield the fully assigned forbidden triples u < v < w of g in sorted order.
+def _forbidden_in(p: ParameterTuple, rows: list[list[int]],
+                  dist: dict[tuple[int, int], int],
+                  first: bool = False) -> list[tuple[int, int, int]]:
+    """The fully assigned forbidden triples u < v < w in sorted order, of the
+    graph whose pair -> distance dict is `dist` and whose label masks are
+    `rows` (as label_masks builds them); with `first`, only the first one.
 
     For each assigned pair u < v labelled a, the third vertices w are the set
     bits of rows[b][u] & rows[c][v] over the forbidden (b, c) for a; only the
     bits above v are kept, so every triangle is found once, from its two
     smallest vertices.
     """
-    if g.delta != p.delta:
-        raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
     forbidden = _forbidden_pairs(p)
-    rows = label_masks(g)
-    for (u, v), a in sorted(g._dist.items()):
+    found = []
+    for (u, v), a in sorted(dist.items()):
         hits = 0
         for b, c in forbidden[a]:
             hits |= rows[b][u] & rows[c][v]
         hits >>= v + 1
+        if hits and first:
+            return [(u, v, v + (hits & -hits).bit_length())]
         while hits:
             low = hits & -hits
-            yield u, v, v + low.bit_length()
+            found.append((u, v, v + low.bit_length()))
             hits ^= low
+    return found
+
+
+def scan_forbidden(p: ParameterTuple, g: LabelledGraph):
+    """Yield the fully assigned forbidden triples u < v < w of g in sorted order.
+
+    The scan stops at the first triangle; only a caller that asks for more
+    pays for the whole scan.
+    """
+    if g.delta != p.delta:
+        raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
+    rows = label_masks(g)
+    head = _forbidden_in(p, rows, g._dist, first=True)
+    yield from head
+    if head:
+        yield from _forbidden_in(p, rows, g._dist)[1:]
 
 
 def forbidden_triangles(p: ParameterTuple, g: LabelledGraph) -> list[tuple[int, int, int]]:
     """Sorted vertex triples of g that are fully assigned and forbidden."""
-    return list(scan_forbidden(p, g))
+    if g.delta != p.delta:
+        raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
+    return _forbidden_in(p, label_masks(g), g._dist)
 
 
 def automorphisms(g: LabelledGraph, max_vertices: int = 9) -> list[tuple[int, ...]]:

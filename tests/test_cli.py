@@ -1,10 +1,15 @@
+import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from magic_completion import (LabelledGraph, ParameterTuple, magic_complete,
+                              select_magic_parameter, serialize_graph,
+                              triangle_allowed)
 from magic_completion.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -94,6 +99,34 @@ def test_complete_file_completable(capsys, tmp_path):
     assert lines[1] == "verdict Completable"
     assert "e 0 2 4" in lines
     assert "e 1 3 4" in lines
+
+
+@pytest.mark.parametrize("key", [(5, 3, 3, 14, 13), (5, 3, 3, 16, 13), (4, 1, 4, 14, 13)])
+def test_forbidden_lines_match_get_reference(capsys, tmp_path, key):
+    p = ParameterTuple(*key)
+    args = [str(x) for x in key]
+    magic = select_magic_parameter(p).selected
+    rng = random.Random(len(key) + sum(key))
+    runs = 0
+    for n in range(20, 41, 5):
+        for density in (0.1, 0.5):
+            g = LabelledGraph(n, p.delta, [
+                (u, v, rng.randint(1, p.delta))
+                for u, v in itertools.combinations(range(n), 2) if rng.random() < density])
+            path = tmp_path / f"g{n}-{density}.txt"
+            path.write_text(serialize_graph(g))
+            code, out, _ = _run(capsys, "complete", "--params", *args, "--file", str(path))
+            if code == 0:
+                continue
+            runs += 1
+            done = magic_complete(p, magic, g).completed
+            expected = [f"forbidden {u} {v} {w} = "
+                        f"{done.get(u, v)} {done.get(u, w)} {done.get(v, w)}"
+                        for u, v, w in itertools.combinations(range(n), 3)
+                        if not triangle_allowed(p, done.get(u, v), done.get(u, w), done.get(v, w))]
+            assert code == 1
+            assert [line for line in out.splitlines() if line.startswith("forbidden ")] == expected
+    assert runs >= 6
 
 
 def test_complete_missing_file(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -5,9 +6,11 @@ import pytest
 
 from magic_completion import (ForkRule, InputError, InvariantViolation,
                               LabelledCycle, LabelledGraph, ParameterTuple,
-                              build_schedule, cycle_to_graph, eligible_magic,
-                              enumerate_admissible, fork_graph, magic_complete,
-                              serialize_trace, shortest_path_complete, time_of)
+                              TraceRecord, build_schedule, cycle_to_graph,
+                              eligible_magic, enumerate_admissible,
+                              forbidden_triangles, fork_graph, magic_complete,
+                              select_magic_parameter, serialize_trace,
+                              shortest_path_complete, time_of)
 from magic_completion.completion import _apply_rule, _Masks, _oriented_forks
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
@@ -140,6 +143,53 @@ def test_trace_records_the_simultaneous_pass():
     assert by_pair[(0, 2)].witness == 3
     assert by_pair[(1, 3)].step == 2
     assert by_pair[(1, 3)].witness == 0
+
+
+def test_trace_record_is_an_immutable_tuple():
+    outcome = magic_complete(P5, 3, cycle_to_graph(LabelledCycle((1, 1, 1, 5)), 5))
+    assert TraceRecord._fields == ("step", "pair", "value", "witness", "family")
+    record = outcome.trace.by_pair()[(0, 2)]
+    assert (record.step, record.pair, record.value, record.witness, record.family) == (
+        2, (0, 2), 4, 3, "minus")
+    # a record compares equal to the plain tuple of its fields
+    assert record == (2, (0, 2), 4, 3, "minus")
+    assert outcome.trace.by_pair()[(0, 1)] == TraceRecord(None, (0, 1), 1, None, "input")
+    assert outcome.trace.by_pair() == {r.pair: r for r in outcome.trace.records}
+    with pytest.raises(AttributeError):
+        record.value = 4
+    # CompletionOutcome stays a dataclass
+    other = dataclasses.replace(outcome, completable=False)
+    assert other.trace is outcome.trace and not other.completable
+
+
+CASE_KEYS = [(5, 3, 3, 14, 13), (5, 3, 3, 16, 13), (4, 1, 4, 14, 13)]  # II-A, II-B, III
+
+
+@pytest.mark.parametrize("key", CASE_KEYS)
+def test_engine_scan_matches_a_fresh_scan(key):
+    # the engine scans its own masks after the final-M fill; a fresh scan of
+    # the completed graph must list the same triangles in the same order.
+    # Sparse inputs leave most pairs to the final fill; by m-edge provenance
+    # no final-M edge is in a forbidden triangle.
+    p = ParameterTuple(*key)
+    magic = select_magic_parameter(p).selected
+    rng = random.Random(sum(key))
+    runs = 0
+    for n in range(20, 41, 4):
+        for density in (0.1, 0.2, 0.5):
+            g = LabelledGraph(n, p.delta, [
+                (u, v, rng.randint(1, p.delta))
+                for u, v in itertools.combinations(range(n), 2) if rng.random() < density])
+            outcome = magic_complete(p, magic, g)
+            if outcome.completable:
+                continue
+            runs += 1
+            assert outcome.forbidden_triangles == tuple(forbidden_triangles(p, outcome.completed))
+            final = {r.pair for r in outcome.trace.records if r.family == "final-M"}
+            assert final
+            for u, v, w in outcome.forbidden_triangles:
+                assert not {(u, v), (u, w), (v, w)} & final
+    assert runs >= 15
 
 
 def test_cascade_within_one_pass_is_refused():

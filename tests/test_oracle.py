@@ -16,6 +16,8 @@ from magic_completion import (ExhaustiveScope, Failure, InputError, LabelledCycl
 from magic_completion import oracle
 from magic_completion.oracle import (PROPERTY_ORDER, _value_counts,
                                      scope_instances)
+from magic_completion.params import eligible_magic
+from magic_completion.space import allowed_cube
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 P3 = ParameterTuple(3, 1, 3, 10, 11)
@@ -50,6 +52,14 @@ def test_value_order_does_not_change_the_verdict():
         assert (up is None) == (down is None)
 
 
+def test_first_completion_search_stops():
+    # a leaf action that returns True ends the whole search, at every depth
+    leaves = []
+    total, _ = oracle._search(P5, LabelledGraph(4, 5), 6, range(1, 6),
+                              lambda assignment: leaves.append(list(assignment)) or True)
+    assert (total, leaves) == (1, [[1, 1, 1, 2, 2, 2]])
+
+
 def test_search_budget():
     with pytest.raises(ResourceLimitError):
         brute_force_completable(P5, LabelledGraph(8, 5), max_missing=10)
@@ -76,7 +86,34 @@ def test_value_counts_are_completion_columns(n):
             expected = [[sum(h.get(u, v) == d for h in completions)
                          for d in range(p.delta + 1)]
                         for u, v in g.missing_pairs()]
-            assert _value_counts(p, g) == expected
+            assert _value_counts(p, g) == (len(completions), expected)
+
+
+@pytest.mark.parametrize("p", [P3, ParameterTuple(3, 1, 2, 10, 9),
+                               ParameterTuple(4, 1, 4, 14, 13)],
+                         ids=["3-1-3", "3-1-2", "4-1-4"])
+def test_search_matches_every_assignment(p):
+    # the search prunes on the per-pair constraint lists; the reference
+    # tries every assignment of the missing pairs and checks all triangles
+    cube = allowed_cube(p)
+    magic = min(eligible_magic(p))
+    for g in scope_instances(p, magic, RandomScope(40, seed=7))[-40:]:
+        pairs = g.missing_pairs()
+        if len(pairs) > 6:
+            continue
+        base = {(u, v): d for u, v, d in g.edges()}
+        expected = []
+        for values in itertools.product(range(1, p.delta + 1), repeat=len(pairs)):
+            dist = {**base, **dict(zip(pairs, values))}
+            if all(cube[dist[u, v]][dist[u, w]][dist[v, w]]
+                   for u, v, w in itertools.combinations(range(g.n), 3)):
+                expected.append(values)
+        found = [tuple(h.get(u, v) for u, v in pairs)
+                 for h in enumerate_all_completions(p, g).completions]
+        assert found == expected
+        assert _value_counts(p, g) == (len(expected), [
+            [sum(values[i] == d for values in expected) for d in range(p.delta + 1)]
+            for i in range(len(pairs))])
 
 
 def test_engine_matches_oracle_on_forks():
@@ -116,6 +153,33 @@ def test_wrong_derived_value_is_reported(monkeypatch, name, detail):
     report = _check(P5, 3, g)[name]
     assert report.instances == 1
     assert report.failures == [Failure(serialize_graph(g), detail)]
+
+
+@pytest.mark.parametrize("labels", [(1, 1, 5, 5, 5), (1, 1, 5)], ids=["cycle", "complete"])
+def test_false_completable_verdict_is_reported(monkeypatch, labels):
+    # the value tallies decide oracle equivalence on a completable verdict;
+    # the triangle has no missing pair, so only the completion count can
+    # tell that the search found nothing
+    g = cycle_to_graph(LabelledCycle(labels), 5)
+    assert not magic_complete(P5, 3, g).completable
+
+    def claims_completable(p, magic, graph):
+        return dataclasses.replace(magic_complete(p, magic, graph), completable=True)
+
+    monkeypatch.setattr(oracle, "magic_complete", claims_completable)
+    reports = _check(P5, 3, g)
+    assert reports["oracle-equivalence"].failures == [
+        Failure(serialize_graph(g), "engine says completable=True, search says False")]
+    assert reports["optimality"].instances == 1
+    assert reports["optimality"].stats == {"clause1": 0, "clause2": 0, "clause3": 0}
+
+
+def test_complete_member_is_oracle_equivalent():
+    g = magic_complete(P5, 3, cycle_to_graph(LabelledCycle((1, 5, 5, 5)), 5)).completed
+    assert _value_counts(P5, g) == (1, [])
+    reports = _check(P5, 3, g)
+    assert reports["oracle-equivalence"].instances == 1
+    assert all(r.passed for r in reports.values())
 
 
 def test_parity_on_example():

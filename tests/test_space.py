@@ -9,8 +9,10 @@ from magic_completion import (GraphParseError, InputError, LabelledCycle,
                               automorphisms, canonical_cycle,
                               classify_triangle, cycle_to_graph,
                               forbidden_triangles, fork_graph, is_member,
-                              parse_cycle, parse_graph, serialize_cycle,
-                              serialize_graph, triangle_allowed)
+                              parse_cycle, parse_graph, select_magic_parameter,
+                              serialize_cycle, serialize_graph, triangle_allowed)
+from magic_completion.oracle import _extend_member
+from magic_completion.space import scan_forbidden
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 
@@ -128,6 +130,39 @@ def test_forbidden_triangles_match_triple_loop(seed):
                 if None not in (a, b, c) and not triangle_allowed(p, a, b, c):
                     expected.append((u, v, w))
             assert forbidden_triangles(p, g) == expected
+            assert list(scan_forbidden(p, g)) == expected
+
+
+@pytest.mark.parametrize("key", CASE_KEYS)
+def test_is_member_matches_triple_loop(key):
+    p = ParameterTuple(*key)
+    magic = select_magic_parameter(p).selected
+    rng = random.Random(sum(key))
+
+    def reference(g):
+        return all(triangle_allowed(p, g.get(u, v), g.get(u, w), g.get(v, w))
+                   for u, v, w in itertools.combinations(range(g.n), 3))
+
+    non_members = 0
+    for n in range(3, 31):
+        member = _extend_member(p, magic, rng, LabelledGraph(0, p.delta), n)
+        assert reference(member) and is_member(p, member)
+        # one edge off: relabel a random pair until a triangle breaks
+        dist = {(u, v): d for u, v, d in member.edges()}
+        pair = rng.choice(sorted(dist))
+        for d in rng.sample(range(1, p.delta + 1), p.delta):
+            off = LabelledGraph(n, p.delta, [(u, v, d if (u, v) == pair else e)
+                                             for (u, v), e in dist.items()])
+            if not reference(off):
+                assert not is_member(p, off)
+                non_members += 1
+                break
+            assert is_member(p, off)
+    assert non_members >= 20
+    with pytest.raises(InputError):
+        is_member(p, LabelledGraph(3, p.delta + 1, [(0, 1, 1), (0, 2, 1), (1, 2, 1)]))
+    with pytest.raises(InputError):
+        is_member(p, LabelledGraph(3, p.delta, [(0, 1, 1)]))
 
 
 def test_automorphisms_of_alternating_square():
