@@ -11,7 +11,11 @@ M.  The result is scanned for forbidden triangles and certified either way.
 The engine keeps, for each label d and vertex u, the bitmask rows[d][u] of
 the vertices at distance d from u.  A pass ORs rows[a][u] & rows[b][v] over
 the rule's forks (a, b) for every missing pair (u, v), and the lowest set bit
-is the witness.
+is the witness.  Forks with a label that no pair carries yet have all-zero
+rows, so a pass skips them, and a pass with no other fork scans nothing.
+The check that the pass left no new match re-scans only the forks with the
+target label: a pair that had no witness before the pass can only gain one
+through an edge the pass added, and all of those carry the target.
 """
 
 from __future__ import annotations
@@ -164,17 +168,24 @@ class _Masks:
 
     rows[d][u] has bit w set when the pair (u, w) has distance d; known[u]
     has bit w set when (u, w) has any distance, and always bit u itself.
-    dist holds the same distances keyed by the pair (u, v) with u < v.
+    dist holds the same distances keyed by the pair (u, v) with u < v, in
+    sorted pair order; present has bit d set when some pair has distance d.
     """
 
     def __init__(self, g: LabelledGraph):
-        self.n = g.n
-        self.rows = label_masks(g)
-        self.known = [1 << u for u in range(g.n)]
-        for row in self.rows:
-            for u, mask in enumerate(row):
-                self.known[u] |= mask
-        self.dist = {(u, v): d for u, v, d in g.edges()}
+        n = self.n = g.n
+        rows = self.rows = [[0] * n for _ in range(g.delta + 1)]
+        known = self.known = [1 << u for u in range(n)]
+        dist = self.dist = dict(sorted(g._dist.items()))
+        present = 0
+        for (u, v), d in dist.items():
+            row = rows[d]
+            row[u] |= 1 << v
+            row[v] |= 1 << u
+            known[u] |= 1 << v
+            known[v] |= 1 << u
+            present |= 1 << d
+        self.present = present
 
     def free(self, u: int) -> int:
         """Mask of the vertices v > u whose pair with u is unassigned."""
@@ -184,10 +195,15 @@ class _Masks:
         """(u, v, mask) per unassigned pair u < v, in increasing order, whose
         mask of vertices w closing a fork (a, b) -- d(u, w) = a and
         d(w, v) = b -- is not empty."""
+        if not forks:
+            return
         rows = self.rows
         for u in range(self.n):
+            free = self.free(u)
+            if not free:
+                continue
             left = [(rows[a][u], rows[b]) for a, b in forks if rows[a][u]]
-            for v in _set_bits(self.free(u) if left else 0):
+            for v in _set_bits(free if left else 0):
                 hits = 0
                 for mask, row in left:
                     hits |= mask & row[v]
@@ -201,6 +217,7 @@ class _Masks:
         row[v] |= 1 << u
         self.known[u] |= 1 << v
         self.known[v] |= 1 << u
+        self.present |= 1 << d
 
 
 def _apply_rule(masks: _Masks, rule: ForkRule, forks) -> list[tuple[int, int, int, str]]:
@@ -208,24 +225,39 @@ def _apply_rule(masks: _Masks, rule: ForkRule, forks) -> list[tuple[int, int, in
     masks, which are updated in place.
 
     Returns (u, v, witness, family) per assignment; the witness is the
-    smallest vertex closing a fork.  Re-scanning must find no further match:
-    a new edge feeding a fork of its own rule would make the single
-    simultaneous pass insufficient, which the staging is meant to exclude, so
-    that is checked every step.
+    smallest vertex closing a fork.  A fork with a label that no pair carries
+    has all-zero rows and cannot match, so only the others are scanned.
+    Re-scanning must find no further match: a new edge feeding a fork of its
+    own rule would make the single simultaneous pass insufficient, which the
+    staging is meant to exclude, so that is checked every step.
     """
+    present = masks.present
+    live = [(a, b) for a, b in forks if present >> a & 1 and present >> b & 1]
+    if not live:
+        return []
     dist = masks.dist
     found = []
-    for u, v, hits in masks.witnesses(forks):
+    for u, v, hits in masks.witnesses(live):
         w = (hits & -hits).bit_length() - 1
         a = dist[(u, w) if u < w else (w, u)]
         b = dist[(v, w) if v < w else (w, v)]
         found.append((u, v, w, rule.family_of(a, b)))
+    if not found:
+        return found
+    target = rule.target
     for u, v, _, _ in found:
-        masks.assign(u, v, rule.target)
-    for u, v, _ in masks.witnesses(forks):
+        masks.assign(u, v, target)
+    # A pair still free had no witness before the pass, so a witness it has
+    # now uses a new edge, and every new edge carries the target: only forks
+    # with the target label can match.  They come from all of `forks`, since
+    # the pass itself can make the target present.  The magic-distance bounds
+    # keep a scheduled rule's target out of its own forks, so this list is
+    # empty but for hand-built rules.
+    again = [fork for fork in forks if target in fork]
+    for u, v, _ in masks.witnesses(again):
         raise InvariantViolation(
             f"cascade within one pass: pair ({u}, {v}) matches target "
-            f"{rule.target} only after this step's assignments")
+            f"{target} only after this step's assignments")
     return found
 
 

@@ -145,7 +145,8 @@ def enumerate_uncompletable_cycles(p: ParameterTuple, magic: int, length: int,
     """All canonical cycles of exactly `length` edges that cannot be completed."""
     if length < 3:
         raise InputError("cycles have at least three edges")
-    if p.delta ** length > max_candidates:
+    # delta^length, computed no further than the first power over budget
+    if p.delta ** min(length, max_candidates.bit_length()) > max_candidates:
         raise ResourceLimitError(
             f"{p.delta}^{length} candidate cycles exceed the budget of {max_candidates}")
     tasks = [(p, magic, length, leading) for leading in range(1, p.delta + 1)]

@@ -32,8 +32,9 @@ from .space import (LabelledCycle, LabelledGraph, allowed_cube, automorphisms,
 ENUM_BUDGET = 12
 BRUTE_BUDGET = 18
 
-# Largest number of partial graphs an exhaustive scope may materialize.
-MAX_EXHAUSTIVE_INSTANCES = 100_000
+# Largest number of instances a verification scope may materialize,
+# exhaustive or random (fork instances included); checked before any is built.
+MAX_SCOPE_INSTANCES = 100_000
 
 PROPERTY_ORDER = (
     "oracle-equivalence",
@@ -163,7 +164,6 @@ def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
     masks = _allowed_values(p)
     static, singles, doubles = _constraints(p, g, missing)
     wanted = sum(1 << d for d in values)
-    size = [bin(m & wanted).count("1") for m in range(1 << (p.delta + 1))]
     deepest = len(missing) - 1
     tally = leaf is None
     # the last pair's allowed values -> the number of nodes that reached them
@@ -202,7 +202,7 @@ def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
                     continue
                 if tally and nxt == deepest:
                     last[sub] = last.get(sub, 0) + 1
-                    below = size[sub]
+                    below = (sub & wanted).bit_count()
                 else:
                     below = descend(nxt, sub)
                 row[d] += below
@@ -345,28 +345,42 @@ def _embeddings(a: LabelledGraph, b: LabelledGraph) -> list[tuple[int, ...]]:
     return out
 
 
-def _glue(p: ParameterTuple, a: LabelledGraph, b1: LabelledGraph,
-          b2: LabelledGraph, emb1: tuple[int, ...],
-          emb2: tuple[int, ...]) -> LabelledGraph:
-    """Free superposition of b1 and b2 over their shared copies of a.
+def _check_embedding(a: LabelledGraph, name: str, emb: tuple[int, ...],
+                     b: LabelledGraph) -> None:
+    """InputError unless emb is a label-preserving injection of a into b."""
+    if len(emb) != a.n or len(set(emb)) != a.n:
+        raise InputError(f"{name} is not an injection of a")
+    if any(not 0 <= x < b.n for x in emb):
+        raise InputError(f"{name} maps outside its target")
+    for x, y in a.pairs():
+        if a.get(x, y) != b.get(emb[x], emb[y]):
+            raise InputError(f"{name} does not preserve labels")
 
-    The glued graph keeps b1's vertex ids; vertices of b2 outside the shared
-    part get fresh ids.  Pairs across the two sides stay missing.  Class
-    membership of the sides is left to _require_members.
-    """
+
+def _check_parts(p: ParameterTuple, a: LabelledGraph, b1: LabelledGraph,
+                 b2: LabelledGraph, emb1: tuple[int, ...],
+                 emb2: tuple[int, ...]) -> None:
+    """InputError unless a, b1 and b2 are complete graphs of p's delta and
+    emb1, emb2 embed a into b1, b2.  Class membership of the sides is left
+    to _require_members."""
     for name, graph in (("a", a), ("b1", b1), ("b2", b2)):
         if graph.delta != p.delta:
             raise InputError(f"{name} has delta {graph.delta}, expected {p.delta}")
         if not graph.is_complete():
             raise InputError(f"{name} must be a complete graph")
-    for name, emb, b in (("emb1", emb1, b1), ("emb2", emb2, b2)):
-        if len(emb) != a.n or len(set(emb)) != a.n:
-            raise InputError(f"{name} is not an injection of a")
-        if any(not 0 <= x < b.n for x in emb):
-            raise InputError(f"{name} maps outside its target")
-        for x, y in a.pairs():
-            if a.get(x, y) != b.get(emb[x], emb[y]):
-                raise InputError(f"{name} does not preserve labels")
+    _check_embedding(a, "emb1", emb1, b1)
+    _check_embedding(a, "emb2", emb2, b2)
+
+
+def _glue(p: ParameterTuple, a: LabelledGraph, b1: LabelledGraph,
+          b2: LabelledGraph, emb1: tuple[int, ...],
+          emb2: tuple[int, ...]) -> LabelledGraph:
+    """Free superposition of b1 and b2 over their shared copies of a, for
+    parts that _check_parts accepts.
+
+    The glued graph keeps b1's vertex ids; vertices of b2 outside the shared
+    part get fresh ids.  Pairs across the two sides stay missing.
+    """
     mapping: dict[int, int] = {}
     for x in range(a.n):
         mapping[emb2[x]] = emb1[x]
@@ -379,7 +393,7 @@ def _glue(p: ParameterTuple, a: LabelledGraph, b1: LabelledGraph,
     shared = set(emb2)
     for x, y, d in b2.edges():
         if x in shared and y in shared:
-            continue  # already present via b1, consistency enforced above
+            continue  # already present via b1, as _check_parts ensures
         edges.append((mapping[x], mapping[y], d))
     edges = [(min(u, v), max(u, v), d) for u, v, d in edges]
     return LabelledGraph(next_id, p.delta, edges)
@@ -397,6 +411,7 @@ def amalgamate(p: ParameterTuple, magic: int, a: LabelledGraph,
 
     For admissible parameters the outcome must always be Completable.
     """
+    _check_parts(p, a, b1, b2, emb1, emb2)
     glued = _glue(p, a, b1, b2, emb1, emb2)
     _require_members(p, b1, b2)
     return magic_complete(p, magic, glued)
@@ -407,7 +422,8 @@ def check_amalgamation(p: ParameterTuple, magic: int,
     """Exhaustive strong-amalgamation sweep over small complete members."""
     members = {size: enumerate_members(p, size)
                for size in range(0, max_part_size + 1)}
-    # every side is one of these members, so each is checked once, not per pair
+    # every side is one of these members, so each is checked once, not per
+    # pair; this also checks that every member is complete, of p's delta
     for size in members:
         _require_members(p, *members[size])
     report = PropertyReport("amalgamation", 0)
@@ -416,7 +432,9 @@ def check_amalgamation(p: ParameterTuple, magic: int,
             sides = []
             for b_size in range(a_size, max_part_size + 1):
                 for b in members[b_size]:
-                    sides.extend((b, emb) for emb in _embeddings(a, b))
+                    for emb in _embeddings(a, b):
+                        _check_embedding(a, "embedding", emb, b)
+                        sides.append((b, emb))
             for (b1, e1), (b2, e2) in itertools.product(sides, sides):
                 glued = _glue(p, a, b1, b2, e1, e2)
                 report.instances += 1
@@ -485,11 +503,11 @@ def scope_instances(p: ParameterTuple, magic: int, scope) -> list[LabelledGraph]
     if isinstance(scope, ExhaustiveScope):
         # (delta+1)^pairs, computed no further than the first power over budget
         count = math.comb(max(scope.vertices, 0), 2)
-        if ((p.delta + 1) ** min(count, MAX_EXHAUSTIVE_INSTANCES.bit_length())
-                > MAX_EXHAUSTIVE_INSTANCES):
+        if ((p.delta + 1) ** min(count, MAX_SCOPE_INSTANCES.bit_length())
+                > MAX_SCOPE_INSTANCES):
             raise ResourceLimitError(
                 f"{p.delta + 1}^{count} instances on {scope.vertices} vertices exceed "
-                f"the budget of {MAX_EXHAUSTIVE_INSTANCES}")
+                f"the budget of {MAX_SCOPE_INSTANCES}")
         pairs = list(itertools.combinations(range(scope.vertices), 2))
         out = []
         for assignment in itertools.product(range(p.delta + 1), repeat=len(pairs)):
@@ -497,6 +515,11 @@ def scope_instances(p: ParameterTuple, magic: int, scope) -> list[LabelledGraph]
             out.append(LabelledGraph(scope.vertices, p.delta, edges))
         return out
     if isinstance(scope, RandomScope):
+        forks = p.delta * (p.delta + 1) // 2
+        if forks + scope.count > MAX_SCOPE_INSTANCES:
+            raise ResourceLimitError(
+                f"{forks} fork and {scope.count} random instances exceed the budget "
+                f"of {MAX_SCOPE_INSTANCES}")
         out = [fork_graph(a, b, p.delta)
                for a in range(1, p.delta + 1) for b in range(a, p.delta + 1)]
         rng = random.Random(scope.seed)
@@ -581,6 +604,7 @@ def _random_amalgamation(p: ParameterTuple, magic: int, scope: RandomScope,
         b1 = _extend_member(p, magic, rng, a, rng.randint(a.n, max_part_size))
         b2 = _extend_member(p, magic, rng, a, rng.randint(a.n, max_part_size))
         identity = tuple(range(a.n))
+        _check_parts(p, a, b1, b2, identity, identity)
         glued = _glue(p, a, b1, b2, identity, identity)
         _require_members(p, b1, b2)
         report.instances += 1

@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, ResourceLimitError
+
+# Largest delta of a catalogue or a graph.  Tables indexed by labels grow
+# with delta (allowed_cube has delta^3 entries) and the catalogue with
+# delta^4 tuples; at 32, `params list` takes ~5 s and `complete` ~0.5 s.
+# A larger delta is refused with ResourceLimitError.
+MAX_DELTA = 32
 
 CASE_II_A = "II-A"
 CASE_II_B = "II-B"
@@ -193,6 +199,8 @@ def enumerate_acceptable(delta: int) -> list[ParameterTuple]:
     """All acceptable tuples for a given delta, ordered by (K1, K2, C0, C1)."""
     if delta < 3:
         raise InputError("delta must be at least 3")
+    if delta > MAX_DELTA:
+        raise ResourceLimitError(f"delta {delta} exceeds the budget of {MAX_DELTA}")
     out = []
     lo, hi = 2 * delta + 2, 3 * delta + 2
     for k1 in range(1, delta + 1):

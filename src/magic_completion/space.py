@@ -13,7 +13,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import GraphParseError, InputError, ResourceLimitError
-from .params import ParameterTuple
+from .params import MAX_DELTA, ParameterTuple
 
 # Largest vertex count of any graph.  Completion and the triangle scan visit
 # every pair with n-bit neighbour masks, so their cost grows faster than n^2;
@@ -34,6 +34,8 @@ class LabelledGraph:
             raise InputError(f"delta must be a positive integer, got {delta!r}")
         if n > MAX_VERTICES:
             raise ResourceLimitError(f"{n} vertices exceed the budget of {MAX_VERTICES}")
+        if delta > MAX_DELTA:
+            raise ResourceLimitError(f"delta {delta} exceeds the budget of {MAX_DELTA}")
         dist: dict[tuple[int, int], int] = {}
         for u, v, d in edges:
             if not (isinstance(u, int) and isinstance(v, int) and isinstance(d, int)):
@@ -381,6 +383,9 @@ def parse_graph(text: str) -> LabelledGraph:
             if n > MAX_VERTICES:
                 raise ResourceLimitError(
                     f"line {line_no}: {n} vertices exceed the budget of {MAX_VERTICES}")
+            if delta > MAX_DELTA:
+                raise ResourceLimitError(
+                    f"line {line_no}: delta {delta} exceeds the budget of {MAX_DELTA}")
             continue
         if tokens[0] != "e" or len(tokens) != 4:
             raise GraphParseError(line_no, f"expected 'e <u> <v> <d>', got {line!r}")

@@ -222,6 +222,22 @@ def test_verify_exhaustive_over_budget(capsys):
     assert "resource limit:" in err
 
 
+@pytest.mark.parametrize("command, message", [
+    (("obstacles", "enumerate", "--params", "3", "1", "3", "10", "11",
+      "--length", "100000000"), "3^100000000 candidate cycles exceed the budget"),
+    (("verify", "--params", "3", "1", "2", "10", "9", "--random", "100000000"),
+     "6 fork and 100000000 random instances exceed the budget of 100000"),
+    (("params", "list", "--delta", "200"), "delta 200 exceeds the budget of 32"),
+    (("complete", "--params", "3000", "1", "3000", "9002", "9001", "--cycle", "1 1 1"),
+     "delta 3000 exceeds the budget of 32"),
+], ids=["obstacles", "verify", "params", "complete"])
+def test_hostile_sizes_exit_2(capsys, command, message):
+    # each of these used to run for minutes or end in a MemoryError
+    code, _, err = _run(capsys, *command)
+    assert code == 2
+    assert err.startswith("resource limit:") and message in err
+
+
 def test_verify_random_parallel_identical(capsys):
     _, serial, _ = _run(capsys, "verify", "--params", "3", "1", "3", "10", "11",
                         "--random", "30", "--seed", "4")

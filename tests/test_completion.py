@@ -11,7 +11,8 @@ from magic_completion import (ForkRule, InputError, InvariantViolation,
                               forbidden_triangles, fork_graph, magic_complete,
                               select_magic_parameter, serialize_trace,
                               shortest_path_complete, time_of)
-from magic_completion.completion import _apply_rule, _Masks, _oriented_forks
+from magic_completion.completion import (_apply_rule, _Masks, _oriented_forks,
+                                         _schedule_cached)
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 
@@ -199,6 +200,95 @@ def test_cascade_within_one_pass_is_refused():
     masks = _Masks(LabelledGraph(4, 3, [(0, 1, 1), (1, 2, 2), (0, 3, 1)]))
     with pytest.raises(InvariantViolation, match=r"cascade within one pass: pair \(2, 3\)"):
         _apply_rule(masks, rule, _oriented_forks(rule))
+
+
+def test_cascade_onto_a_target_absent_before_the_pass_is_refused():
+    # label 2 is nowhere in the input, so only the (1, 1) fork is live in the
+    # pass; (0, 2) and (1, 3) get 2, which closes the (1, 2) fork for (2, 3)
+    rule = ForkRule(2, plus=frozenset({(1, 1), (1, 2)}), minus=frozenset(),
+                    cbound=frozenset())
+    masks = _Masks(LabelledGraph(4, 3, [(0, 1, 1), (1, 2, 1), (0, 3, 1)]))
+    with pytest.raises(InvariantViolation, match=r"cascade within one pass: pair \(2, 3\)"):
+        _apply_rule(masks, rule, _oriented_forks(rule))
+
+
+def _reference_complete(p, magic, g):
+    """The staged completion on a pair -> distance dict: every pass tries
+    every fork of its rule for every free pair and re-scans all of them
+    after its assignments.  Returns the records and the forbidden triangles."""
+    schedule, rules = build_schedule(p, magic)
+    dist = {(u, v): d for u, v, d in g.edges()}
+    records = [(None, pair, d, None, "input") for pair, d in dist.items()]
+    pairs = list(itertools.combinations(range(g.n), 2))
+
+    def witnesses(rule):
+        out = []
+        for u, v in pairs:
+            if (u, v) in dist:
+                continue
+            for w in range(g.n):
+                a = dist.get((min(u, w), max(u, w)))
+                b = dist.get((min(v, w), max(v, w)))
+                if a and b and rule.family_of(a, b):
+                    out.append((u, v, w, rule.family_of(a, b)))
+                    break
+        return out
+
+    for step, target in schedule.steps:
+        found = witnesses(rules[target])
+        for u, v, w, family in found:
+            dist[(u, v)] = target
+            records.append((step, (u, v), target, w, family))
+        if witnesses(rules[target]):
+            raise InvariantViolation("cascade")
+    for pair in pairs:
+        if pair not in dist:
+            dist[pair] = magic
+            records.append((None, pair, magic, None, "final-M"))
+    completed = LabelledGraph(g.n, g.delta, [(u, v, d) for (u, v), d in dist.items()])
+    return records, tuple(forbidden_triangles(p, completed))
+
+
+def test_passes_match_a_reference_over_every_fork():
+    # the engine scans only the forks whose labels are present and re-scans
+    # only the forks with the target label; the reference scans them all
+    rng = random.Random(6)
+    runs = 0
+    for delta in range(3, 6):
+        for row in enumerate_admissible(delta):
+            p = row.params
+            for magic in sorted(eligible_magic(p)):
+                for n in range(3, 13):
+                    g = LabelledGraph(n, delta, [
+                        (u, v, rng.randint(1, delta))
+                        for u, v in itertools.combinations(range(n), 2)
+                        if rng.random() < 0.4])
+                    outcome = magic_complete(p, magic, g)
+                    assert (list(outcome.trace.records), outcome.forbidden_triangles) == \
+                        _reference_complete(p, magic, g)
+                    runs += 1
+    assert runs > 500
+
+
+def test_one_loop_masks_match_the_graph():
+    # labels 1..4 only, and (0, 1) always missing, so assigning 5 to it adds
+    # a label to `present`
+    rng = random.Random(4)
+    for n in range(2, 12):
+        g = LabelledGraph(n, 5, [(u, v, rng.randint(1, 4))
+                                 for u, v in itertools.combinations(range(n), 2)
+                                 if v > 1 and rng.random() < 0.5])
+        masks = _Masks(g)
+        assert list(masks.dist.items()) == [((u, v), d) for u, v, d in g.edges()]
+        for d in range(6):
+            assert masks.rows[d] == [sum(1 << w for w in range(n)
+                                         if w != u and g.get(u, w) == d)
+                                     for u in range(n)]
+        assert masks.known == [sum(1 << w for w in range(n) if w == u or g.get(u, w))
+                               for u in range(n)]
+        assert masks.present == sum({1 << d for _, _, d in g.edges()})
+        masks.assign(0, 1, 5)
+        assert masks.present == sum({1 << d for _, _, d in g.edges()}) | 1 << 5
 
 
 def test_magic_complete_requires_admissible_tuple():

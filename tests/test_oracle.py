@@ -116,6 +116,29 @@ def test_search_matches_every_assignment(p):
             for i in range(len(pairs))])
 
 
+def test_value_counts_on_a_delta_32_fork():
+    # one missing pair on a fork; three on a path, where the tally counts
+    # the last pair's 33-bit value masks
+    p = ParameterTuple(32, 1, 32, 98, 97)
+    cube = allowed_cube(p)
+    for a, b in ((1, 1), (1, 32), (5, 20), (32, 32)):
+        allowed = [0] + [int(cube[a][b][d]) for d in range(1, 33)]
+        assert _value_counts(p, fork_graph(a, b, 32)) == (sum(allowed), [allowed])
+    path = LabelledGraph(4, 32, [(0, 1, 3), (1, 2, 30), (2, 3, 17)])
+    pairs = path.missing_pairs()
+    base = {(u, v): d for u, v, d in path.edges()}
+    expected = []
+    for values in itertools.product(range(1, 33), repeat=len(pairs)):
+        dist = {**base, **dict(zip(pairs, values))}
+        if all(cube[dist[u, v]][dist[u, w]][dist[v, w]]
+               for u, v, w in itertools.combinations(range(4), 3)):
+            expected.append(values)
+    assert expected
+    assert _value_counts(p, path) == (len(expected), [
+        [sum(values[i] == d for values in expected) for d in range(33)]
+        for i in range(len(pairs))])
+
+
 def test_engine_matches_oracle_on_forks():
     for a in range(1, 6):
         for b in range(a, 6):

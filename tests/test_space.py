@@ -8,10 +8,12 @@ from magic_completion import (GraphParseError, InputError, LabelledCycle,
                               ResourceLimitError, TriangleBound,
                               automorphisms, canonical_cycle,
                               classify_triangle, cycle_to_graph,
-                              forbidden_triangles, fork_graph, is_member,
+                              enumerate_acceptable, forbidden_triangles,
+                              fork_graph, is_member,
                               parse_cycle, parse_graph, select_magic_parameter,
                               serialize_cycle, serialize_graph, triangle_allowed)
 from magic_completion.oracle import _extend_member
+from magic_completion.params import MAX_DELTA
 from magic_completion.space import scan_forbidden
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
@@ -86,6 +88,17 @@ def test_graph_validation():
         LabelledGraph(3, 5, [(0, 1, 2), (1, 0, 2)])
     with pytest.raises(ResourceLimitError):
         LabelledGraph(1001, 3)
+
+
+def test_delta_budget():
+    assert LabelledGraph(3, MAX_DELTA).delta == MAX_DELTA
+    assert parse_graph(f"graph 2 {MAX_DELTA}\ne 0 1 {MAX_DELTA}\n").delta == MAX_DELTA
+    with pytest.raises(ResourceLimitError):
+        LabelledGraph(3, MAX_DELTA + 1)
+    with pytest.raises(ResourceLimitError, match="line 2: delta 33 exceeds"):
+        parse_graph("# header next\ngraph 3 33\n")
+    with pytest.raises(ResourceLimitError):
+        enumerate_acceptable(MAX_DELTA + 1)
 
 
 def test_fork_graph_shape():
