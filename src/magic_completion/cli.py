@@ -151,11 +151,16 @@ def _cmd_verify(args) -> int:
         scope = ExhaustiveScope(args.exhaustive)
     else:
         scope = RandomScope(args.random, args.seed)
-    print(f"verify {p.delta} {p.k1} {p.k2} {p.c0} {p.c1} magic={choice.selected}")
+    # the header follows the sweep, so a refused scope prints nothing to stdout
     reports = run_verification_suite(p, choice.selected, scope, jobs=args.jobs)
+    print(f"verify {p.delta} {p.k1} {p.k2} {p.c0} {p.c1} magic={choice.selected}")
     failed = 0
     for report in reports:
         print(format_report(report), end="")
+        if args.stats:
+            print(f"stats {report.name}" + "".join(
+                f" {key}={value}" for key, value in sorted(report.stats.items())),
+                file=sys.stderr)
         failed += len(report.failures)
     return 1 if failed else 0
 
@@ -223,6 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded random instances after the fork preamble")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--stats", action="store_true",
+                        help="write each property's stats to stderr")
     verify.set_defaults(handler=_cmd_verify)
     return parser
 

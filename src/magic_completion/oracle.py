@@ -419,7 +419,13 @@ def amalgamate(p: ParameterTuple, magic: int, a: LabelledGraph,
 
 def check_amalgamation(p: ParameterTuple, magic: int,
                        max_part_size: int = 3) -> PropertyReport:
-    """Exhaustive strong-amalgamation sweep over small complete members."""
+    """Exhaustive strong-amalgamation sweep over small complete members.
+
+    Every ordered pair of embeddings of one member a into two members counts
+    as an instance and, when its glued graph is uncompletable, as a failure
+    with its own emb1/emb2 detail.  Many pairs glue to the same graph, so the
+    engine runs once per distinct glued graph within one call.
+    """
     members = {size: enumerate_members(p, size)
                for size in range(0, max_part_size + 1)}
     # every side is one of these members, so each is checked once, not per
@@ -427,6 +433,8 @@ def check_amalgamation(p: ParameterTuple, magic: int,
     for size in members:
         _require_members(p, *members[size])
     report = PropertyReport("amalgamation", 0)
+    # glued graph -> the engine's completable verdict
+    verdicts: dict[LabelledGraph, bool] = {}
     for a_size in range(0, max_part_size + 1):
         for a in members[a_size]:
             sides = []
@@ -438,7 +446,11 @@ def check_amalgamation(p: ParameterTuple, magic: int,
             for (b1, e1), (b2, e2) in itertools.product(sides, sides):
                 glued = _glue(p, a, b1, b2, e1, e2)
                 report.instances += 1
-                if not magic_complete(p, magic, glued).completable:
+                completable = verdicts.get(glued)
+                if completable is None:
+                    completable = verdicts[glued] = magic_complete(
+                        p, magic, glued).completable
+                if not completable:
                     report.failures.append(Failure(
                         serialize_graph(glued),
                         f"amalgam over a={a.edges()} with emb1={e1} emb2={e2} "
@@ -468,14 +480,17 @@ def _extend_member(p: ParameterTuple, magic: int, rng: random.Random,
     the already-built part allowed; if the greedy draw dead-ends, the whole
     vertex falls back to the magic distance, which always works.
     """
-    cube = allowed_cube(p)
+    masks = _allowed_values(p)
+    values = range(1, p.delta + 1)
     mat = label_matrix(LabelledGraph(size, p.delta, base.edges()))
     for v in range(base.n, size):
+        row = mat[v]
         for u in range(v):
-            options = [val for val in range(1, p.delta + 1)
-                       if all(not mat[u][w] or not mat[v][w]
-                              or cube[val][mat[u][w]][mat[v][w]]
-                              for w in range(v))]
+            allowed = masks[0][0]
+            # only the vertices before u have a distance to v yet
+            for a, b in zip(mat[u], row[:u]):
+                allowed &= masks[a][b]
+            options = [val for val in values if allowed >> val & 1]
             if not options:
                 for w in range(v):
                     mat[w][v] = mat[v][w] = magic
@@ -515,6 +530,8 @@ def scope_instances(p: ParameterTuple, magic: int, scope) -> list[LabelledGraph]
             out.append(LabelledGraph(scope.vertices, p.delta, edges))
         return out
     if isinstance(scope, RandomScope):
+        if scope.count < 0:
+            raise InputError(f"random instance count must be non-negative, got {scope.count}")
         forks = p.delta * (p.delta + 1) // 2
         if forks + scope.count > MAX_SCOPE_INSTANCES:
             raise ResourceLimitError(
@@ -534,6 +551,9 @@ def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
 
     A finding is (property, counted, failure detail or None, stats delta).
     Budget overruns mark the property as skipped instead of failing.
+    Automorphism preservation checks only the non-identity automorphisms,
+    and builds the shortest-path completion only when there is one; its
+    input-automorphisms stat still counts the identity.
     """
     findings: list[tuple[str, bool, str | None, dict[str, int]]] = []
     outcome = magic_complete(p, magic, g)
@@ -554,10 +574,12 @@ def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
         detail = None if found == outcome.completable else (
             f"engine says completable={outcome.completable}, search says {found}")
         findings.append(("oracle-equivalence", True, detail, {}))
+    # automorphisms lists the identity first, and every completion keeps it
     auts = automorphisms(g)
-    spc = shortest_path_complete(p.delta, g)
+    moved = auts[1:]
+    spc = shortest_path_complete(p.delta, g) if moved else None
     aut_detail = None
-    for perm in auts:
+    for perm in moved:
         if not is_automorphism(outcome.completed, perm):
             aut_detail = f"permutation {perm} lost by staged completion"
             break

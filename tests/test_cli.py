@@ -216,10 +216,11 @@ def test_verify_exhaustive(capsys):
 
 def test_verify_exhaustive_over_budget(capsys):
     # 6^15 partial graphs: refused before any of them is built
-    code, _, err = _run(capsys, "verify", "--params", "5", "3", "3", "16", "13",
-                        "--exhaustive", "6")
+    code, out, err = _run(capsys, "verify", "--params", "5", "3", "3", "16", "13",
+                          "--exhaustive", "6")
     assert code == 2
     assert "resource limit:" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("command, message", [
@@ -233,9 +234,34 @@ def test_verify_exhaustive_over_budget(capsys):
 ], ids=["obstacles", "verify", "params", "complete"])
 def test_hostile_sizes_exit_2(capsys, command, message):
     # each of these used to run for minutes or end in a MemoryError
-    code, _, err = _run(capsys, *command)
+    code, out, err = _run(capsys, *command)
     assert code == 2
     assert err.startswith("resource limit:") and message in err
+    assert out == ""
+
+
+def test_verify_negative_random_count_exit_2(capsys):
+    code, out, err = _run(capsys, "verify", "--params", "3", "1", "2", "10", "9",
+                          "--random", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: random instance count must be non-negative, got -5\n"
+
+
+def test_verify_stats_go_to_stderr(capsys):
+    argv = ("verify", "--params", "3", "1", "3", "10", "11", "--random", "5", "--seed", "2")
+    code, plain, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, out, err = _run(capsys, *argv, "--stats")
+    assert code == 0
+    assert out == plain
+    assert err.splitlines() == [
+        "stats oracle-equivalence",
+        "stats optimality clause1=6732 clause2=2240 clause3=0",
+        "stats parity parity-exception=0",
+        "stats automorphism-preservation input-automorphisms=15",
+        "stats m-edge-provenance",
+        "stats obstacle-extraction",
+        "stats amalgamation"]
 
 
 def test_verify_random_parallel_identical(capsys):

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import itertools
+import random
 import types
 
 import pytest
@@ -12,12 +14,13 @@ from magic_completion import (ExhaustiveScope, Failure, InputError, LabelledCycl
                               check_instance, cycle_to_graph,
                               enumerate_all_completions, enumerate_members,
                               fork_graph, format_report, magic_complete,
-                              run_verification_suite, serialize_graph)
+                              run_verification_suite, serialize_graph,
+                              shortest_path_complete)
 from magic_completion import oracle
 from magic_completion.oracle import (PROPERTY_ORDER, _value_counts,
                                      scope_instances)
-from magic_completion.params import eligible_magic
-from magic_completion.space import allowed_cube
+from magic_completion.params import eligible_magic, enumerate_admissible
+from magic_completion.space import allowed_cube, label_matrix
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 P3 = ParameterTuple(3, 1, 3, 10, 11)
@@ -218,6 +221,82 @@ def test_automorphism_preservation_square():
     assert report.stats["input-automorphisms"] == 4
 
 
+def test_lost_non_identity_automorphism_is_reported(monkeypatch):
+    # the square's automorphisms are (0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1)
+    # and (3, 2, 1, 0); a diagonal of 4 against 5 breaks the second one
+    g = LabelledGraph(4, 5, [(0, 1, 1), (1, 2, 5), (2, 3, 1), (0, 3, 5)])
+
+    def short_diagonal(delta, graph):
+        completed = shortest_path_complete(delta, graph)
+        edges = [(u, v, 4 if (u, v) == (0, 2) else d) for u, v, d in completed.edges()]
+        return LabelledGraph(graph.n, delta, edges)
+
+    monkeypatch.setattr(oracle, "shortest_path_complete", short_diagonal)
+    report = _check(P5, 3, g)["automorphism-preservation"]
+    assert report.stats == {"input-automorphisms": 4}
+    assert report.failures == [Failure(
+        serialize_graph(g), "permutation (1, 0, 3, 2) lost by shortest-path completion")]
+
+
+def test_shortest_path_completion_only_for_symmetric_inputs(monkeypatch):
+    # only the identity preserves a path with distinct labels, so there is
+    # nothing for the shortest-path completion to be checked against
+    calls = []
+
+    def counted(delta, graph):
+        calls.append(graph)
+        return shortest_path_complete(delta, graph)
+
+    monkeypatch.setattr(oracle, "shortest_path_complete", counted)
+    rigid = LabelledGraph(4, 5, [(0, 1, 1), (1, 2, 2), (2, 3, 3)])
+    report = _check(P5, 3, rigid)["automorphism-preservation"]
+    assert (report.instances, report.stats, calls) == (1, {"input-automorphisms": 1}, [])
+    symmetric = fork_graph(2, 2, 5)
+    report = _check(P5, 3, symmetric)["automorphism-preservation"]
+    assert (report.instances, report.stats, calls) == (
+        1, {"input-automorphisms": 2}, [symmetric])
+
+
+def _reference_extend_member(p, magic, rng, base, size):
+    # the draw as first written: every candidate value is tested against
+    # every earlier vertex with allowed_cube
+    cube = allowed_cube(p)
+    mat = label_matrix(LabelledGraph(size, p.delta, base.edges()))
+    for v in range(base.n, size):
+        for u in range(v):
+            options = [val for val in range(1, p.delta + 1)
+                       if all(not mat[u][w] or not mat[v][w]
+                              or cube[val][mat[u][w]][mat[v][w]]
+                              for w in range(v))]
+            if not options:
+                for w in range(v):
+                    mat[w][v] = mat[v][w] = magic
+                break
+            mat[u][v] = mat[v][u] = rng.choice(options)
+    return LabelledGraph(size, p.delta, [
+        (u, v, mat[u][v]) for u, v in itertools.combinations(range(size), 2) if mat[u][v]])
+
+
+def test_extend_member_matches_the_reference_draw():
+    seeds = random.Random(7)
+    draws = 0
+    for delta in range(3, 6):
+        for row in enumerate_admissible(delta):
+            p = row.params
+            for magic in sorted(eligible_magic(p)):
+                for size in range(8):
+                    seed = seeds.randrange(2 ** 32)
+                    bases = [LabelledGraph(0, delta), _reference_extend_member(
+                        p, magic, random.Random(seed), LabelledGraph(0, delta), size // 2)]
+                    for base in bases:
+                        ours, theirs = random.Random(seed + 1), random.Random(seed + 1)
+                        assert oracle._extend_member(p, magic, ours, base, size) == \
+                            _reference_extend_member(p, magic, theirs, base, size)
+                        assert ours.random() == theirs.random()
+                        draws += 1
+    assert draws > 1000
+
+
 def test_m_edge_provenance_on_uncompletable_input():
     g = cycle_to_graph(LabelledCycle((1, 1, 5, 5, 5)), 5)
     reports = _check(P5, 3, g)
@@ -345,3 +424,53 @@ def test_check_amalgamation_small():
     report = check_amalgamation(P3, 2, max_part_size=2)
     assert report.passed
     assert report.instances > 0
+
+
+def _recorded_amalgamation(monkeypatch, engine):
+    """check_amalgamation(3,1,2,10,9) under `engine`, with the glued graph
+    and embeddings of every ordered amalgam in sweep order."""
+    glued_list = []
+
+    def recording_glue(p, a, b1, b2, emb1, emb2):
+        glued = glue(p, a, b1, b2, emb1, emb2)
+        glued_list.append((a, emb1, emb2, glued))
+        return glued
+
+    glue = oracle._glue
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_glue", recording_glue)
+        patch.setattr(oracle, "magic_complete", engine)
+        return check_amalgamation(ParameterTuple(3, 1, 2, 10, 9), 2), glued_list
+
+
+def test_check_amalgamation_runs_the_engine_once_per_glued_graph(monkeypatch):
+    calls = []
+
+    def counted(p, magic, g):
+        calls.append(g)
+        return magic_complete(p, magic, g)
+
+    report, glued = _recorded_amalgamation(monkeypatch, counted)
+    assert (report.instances, report.failures) == (11438, [])
+    assert len(calls) == len(set(calls)) == 2545
+    assert set(calls) == {g for _, _, _, g in glued}
+
+
+def test_every_amalgam_of_a_failing_glued_graph_is_reported(monkeypatch):
+    # the glued graph that the most ordered amalgams share; the engine is
+    # made to fail on it alone
+    _, glued = _recorded_amalgamation(monkeypatch, magic_complete)
+    target, times = collections.Counter(g for _, _, _, g in glued).most_common(1)[0]
+    assert times > 1
+
+    def fails_on_target(p, magic, g):
+        outcome = magic_complete(p, magic, g)
+        return dataclasses.replace(outcome, completable=False) if g == target else outcome
+
+    report, _ = _recorded_amalgamation(monkeypatch, fails_on_target)
+    assert report.instances == 11438
+    assert report.failures == [
+        Failure(serialize_graph(g),
+                f"amalgam over a={a.edges()} with emb1={e1} emb2={e2} is uncompletable")
+        for a, e1, e2, g in glued if g == target]
+    assert len(report.failures) == times

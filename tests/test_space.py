@@ -197,6 +197,8 @@ def test_automorphisms_match_all_permutations():
         expected = [perm for perm in itertools.permutations(range(n))
                     if all(g.get(u, v) == g.get(perm[u], perm[v]) for u, v in g.pairs())]
         assert automorphisms(g) == expected
+        # lexicographic order puts the identity first; the verify sweep skips it
+        assert expected[0] == tuple(range(n))
     with pytest.raises(ResourceLimitError):
         automorphisms(LabelledGraph(10, 3))
     with pytest.raises(ResourceLimitError):
