@@ -8,12 +8,15 @@ disagreement), 2 for usage, input or resource-limit errors.
 from __future__ import annotations
 
 import argparse
+import collections
 import sys
+import time
 from functools import lru_cache
 
-from .completion import magic_complete, serialize_trace, shortest_path_complete
+from .completion import (FAMILY_FINAL, FAMILY_INPUT, build_schedule,
+                         magic_complete, serialize_trace, shortest_path_complete)
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .obstacles import (enumerate_uncompletable_cycles, extract_obstacle,
+from .obstacles import (_DERIVED, _pull_back, enumerate_uncompletable_cycles,
                         serialize_catalogue)
 from .oracle import (ExhaustiveScope, RandomScope, enumerate_all_completions,
                      format_report, run_verification_suite)
@@ -92,11 +95,14 @@ def _cmd_complete(args) -> int:
     p = _params_from(args)
     _require_admissible(p)
     choice = select_magic_parameter(p, args.magic)
+    marks = [time.perf_counter()]  # then the end of each stage, for --stats
     if args.file is not None:
         g = _read_graph(args.file)
     else:
         g = cycle_to_graph(parse_cycle(args.cycle), p.delta)
+    marks.append(time.perf_counter())
     outcome = magic_complete(p, choice.selected, g)
+    marks.append(time.perf_counter())
     if args.trace:
         print(serialize_trace(outcome.trace), end="")
     else:
@@ -105,18 +111,39 @@ def _cmd_complete(args) -> int:
     if outcome.completable:
         print("verdict Completable")
         print(serialize_graph(outcome.completed), end="")
-        return 0
-    print("verdict Uncompletable")
-    mat = label_matrix(outcome.completed)
-    text = [str(i) for i in range(max(g.n, p.delta + 1))]
-    print("\n".join(f"forbidden {text[u]} {text[v]} {text[w]} = "
-                    f"{text[mat[u][v]]} {text[mat[u][w]]} {text[mat[v][w]]}"
-                    for u, v, w in outcome.forbidden_triangles))
-    if args.obstacle:
-        obstacle = extract_obstacle(p, choice.selected, g, outcome.trace)
+    else:
+        print("verdict Uncompletable")
+        mat = label_matrix(outcome.completed)
+        text = [str(i) for i in range(max(g.n, p.delta + 1))]
+        print("\n".join(f"forbidden {text[u]} {text[v]} {text[w]} = "
+                        f"{text[mat[u][v]]} {text[mat[u][w]]} {text[mat[v][w]]}"
+                        for u, v, w in outcome.forbidden_triangles))
+    marks.append(time.perf_counter())
+    if args.obstacle and not outcome.completable:
+        # this run's own graph and records: extract_obstacle would check and rebuild them
+        obstacle = _pull_back(outcome.completed, outcome.trace.by_pair(),
+                              outcome.forbidden_triangles[0])
         print("obstacle " + " ".join(map(str, obstacle.cycle.labels)))
         print("hom " + " ".join(map(str, obstacle.hom)))
-    return 1
+        marks.append(time.perf_counter())
+    if args.stats:
+        print(_complete_stats(outcome, marks), end="", file=sys.stderr)
+    return 0 if outcome.completable else 1
+
+
+def _complete_stats(outcome, marks) -> str:
+    """The `complete --stats` lines: assignments per step and per family,
+    counted from the trace, forbidden triangles and each stage's wall time."""
+    trace = outcome.trace
+    by_step = collections.Counter((record.step, record.family) for record in trace.records)
+    by_family = collections.Counter(record.family for record in trace.records)
+    lines = [f"step={step} target={target}" + "".join(f" {f}={by_step[step, f]}" for f in _DERIVED)
+             for step, target in build_schedule(trace.params, trace.magic)[0].steps]
+    lines.append("".join(f"{f}={by_family[f]} " for f in (FAMILY_INPUT, *_DERIVED, FAMILY_FINAL))
+                 + f"forbidden={len(outcome.forbidden_triangles)}")
+    lines.append(" ".join(f"{stage}_s={end - start:.6f}" for stage, start, end
+                          in zip(("read", "complete", "format", "obstacle"), marks, marks[1:])))
+    return "".join(f"stats complete {line}\n" for line in lines)
 
 
 def _cmd_shortest_path(args) -> int:
@@ -203,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print the full assignment trace")
     complete.add_argument("--obstacle", action="store_true",
                           help="on failure, print an extracted obstacle cycle")
+    complete.add_argument("--stats", action="store_true",
+                          help="write per-step counts and stage times to stderr")
     complete.set_defaults(handler=_cmd_complete)
 
     spath = sub.add_parser("shortest-path", help="shortest-path completion of a graph")

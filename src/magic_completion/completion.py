@@ -168,22 +168,23 @@ class _Masks:
 
     rows[d][u] has bit w set when the pair (u, w) has distance d; known[u]
     has bit w set when (u, w) has any distance, and always bit u itself.
-    dist holds the same distances keyed by the pair (u, v) with u < v, in
-    sorted pair order; present has bit d set when some pair has distance d.
+    mat[u][v] == mat[v][u] is the distance of (u, v), 0 where it is missing
+    and on the diagonal; present has bit d set when some pair has distance d.
     """
 
     def __init__(self, g: LabelledGraph):
         n = self.n = g.n
         rows = self.rows = [[0] * n for _ in range(g.delta + 1)]
         known = self.known = [1 << u for u in range(n)]
-        dist = self.dist = dict(sorted(g._dist.items()))
+        mat = self.mat = [[0] * n for _ in range(n)]
         present = 0
-        for (u, v), d in dist.items():
+        for (u, v), d in g._dist.items():
             row = rows[d]
             row[u] |= 1 << v
             row[v] |= 1 << u
             known[u] |= 1 << v
             known[v] |= 1 << u
+            mat[u][v] = mat[v][u] = d
             present |= 1 << d
         self.present = present
 
@@ -211,7 +212,7 @@ class _Masks:
                     yield u, v, hits
 
     def assign(self, u: int, v: int, d: int) -> None:
-        self.dist[(u, v)] = d
+        self.mat[u][v] = self.mat[v][u] = d
         row = self.rows[d]
         row[u] |= 1 << v
         row[v] |= 1 << u
@@ -235,13 +236,11 @@ def _apply_rule(masks: _Masks, rule: ForkRule, forks) -> list[tuple[int, int, in
     live = [(a, b) for a, b in forks if present >> a & 1 and present >> b & 1]
     if not live:
         return []
-    dist = masks.dist
+    mat = masks.mat
     found = []
     for u, v, hits in masks.witnesses(live):
         w = (hits & -hits).bit_length() - 1
-        a = dist[(u, w) if u < w else (w, u)]
-        b = dist[(v, w) if v < w else (w, v)]
-        found.append((u, v, w, rule.family_of(a, b)))
+        found.append((u, v, w, rule.family_of(mat[u][w], mat[v][w])))
     if not found:
         return found
     target = rule.target
@@ -274,16 +273,26 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
         raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
     schedule, rules, oriented = _schedule_cached(p, magic)
     masks = _Masks(g)
-    records = [TraceRecord(None, pair, d, None, FAMILY_INPUT) for pair, d in masks.dist.items()]
+    records = [TraceRecord(None, pair, d, None, FAMILY_INPUT)
+               for pair, d in sorted(g._dist.items())]
     for step, target in schedule.steps:
         for u, v, w, family in _apply_rule(masks, rules[target], oriented[target]):
             records.append(TraceRecord(step, (u, v), target, w, family))
+    # final fill: one OR per vertex; known[v] would only gain bits free() ignores
+    fill, known, mat = masks.rows[magic], masks.known, masks.mat
     for u in range(g.n):
-        for v in _set_bits(masks.free(u)):
-            masks.assign(u, v, magic)
+        free = masks.free(u)
+        fill[u] |= free
+        known[u] |= free
+        for v in _set_bits(free):
+            fill[v] |= 1 << u
+            mat[u][v] = mat[v][u] = magic
             records.append(TraceRecord(None, (u, v), magic, None, FAMILY_FINAL))
-    completed = LabelledGraph._checked(g.n, g.delta, masks.dist)
-    bad = tuple(_forbidden_in(p, masks.rows, masks.dist))
+    # read off in pair order, so the dict's items are sorted for every later use
+    dist = dict(zip(itertools.combinations(range(g.n), 2), itertools.chain.from_iterable(
+        line[u + 1:] for u, line in enumerate(mat))))
+    completed = LabelledGraph._checked(g.n, g.delta, dist)
+    bad = tuple(_forbidden_in(p, masks.rows, dist.items()))
     trace = CompletionTrace(p, magic, tuple(records))
     return CompletionOutcome(completed, trace, not bad, bad)
 
@@ -292,15 +301,13 @@ def serialize_trace(trace: CompletionTrace) -> str:
     """Text form of a trace: header, step records, then the final fill."""
     p = trace.params
     lines = [f"magic M={trace.magic} params {p.delta} {p.k1} {p.k2} {p.c0} {p.c1}"]
-    for record in trace.records:
-        if record.family in (FAMILY_PLUS, FAMILY_MINUS, FAMILY_CBOUND):
-            u, v = record.pair
-            lines.append(f"step {record.step} set {u} {v} = {record.value} "
-                         f"witness {record.witness} via {record.family}")
-    for record in trace.records:
-        if record.family == FAMILY_FINAL:
-            u, v = record.pair
-            lines.append(f"final {u} {v} = {record.value}")
+    finals = []
+    for step, (u, v), value, witness, family in trace.records:
+        if family == FAMILY_FINAL:
+            finals.append(f"final {u} {v} = {value}")
+        elif family in (FAMILY_PLUS, FAMILY_MINUS, FAMILY_CBOUND):
+            lines.append(f"step {step} set {u} {v} = {value} witness {witness} via {family}")
+    lines.extend(finals)
     return "\n".join(lines) + "\n"
 
 

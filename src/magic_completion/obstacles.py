@@ -65,10 +65,16 @@ def extract_obstacle(p: ParameterTuple, magic: int, g: LabelledGraph,
     first = next(scan_forbidden(p, completed), None)
     if first is None:
         raise InputError("the completion run was Completable; there is no obstacle")
+    return _pull_back(completed, records, first)
+
+
+def _pull_back(completed: LabelledGraph, records: dict, first: tuple[int, int, int]) -> Obstacle:
+    """extract_obstacle after its checks: the backward run from the forbidden
+    triangle `first` of a run, given its completed graph and trace.by_pair()."""
     u, v, w = first
     hom = [u, v, w]
     labels = [completed.get(u, v), completed.get(v, w), completed.get(w, u)]
-    limit = 3 * 2 ** p.delta
+    limit = 3 * 2 ** completed.delta
 
     def record_of(i: int):
         size = len(hom)

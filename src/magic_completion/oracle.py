@@ -423,8 +423,9 @@ def check_amalgamation(p: ParameterTuple, magic: int,
 
     Every ordered pair of embeddings of one member a into two members counts
     as an instance and, when its glued graph is uncompletable, as a failure
-    with its own emb1/emb2 detail.  Many pairs glue to the same graph, so the
-    engine runs once per distinct glued graph within one call.
+    whose detail names a, both sides b1, b2 and both embeddings.  Many pairs
+    glue to the same graph, so the engine runs once per distinct glued graph
+    within one call.
     """
     members = {size: enumerate_members(p, size)
                for size in range(0, max_part_size + 1)}
@@ -453,8 +454,8 @@ def check_amalgamation(p: ParameterTuple, magic: int,
                 if not completable:
                     report.failures.append(Failure(
                         serialize_graph(glued),
-                        f"amalgam over a={a.edges()} with emb1={e1} emb2={e2} "
-                        f"is uncompletable"))
+                        f"amalgam over a={a.edges()} with b1={b1.edges()} emb1={e1} "
+                        f"b2={b2.edges()} emb2={e2} is uncompletable"))
     return report
 
 

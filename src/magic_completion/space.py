@@ -215,12 +215,13 @@ def _forbidden_pairs(p: ParameterTuple) -> tuple[tuple[tuple[int, int], ...], ..
                          for a in range(1, p.delta + 1))
 
 
-def _forbidden_in(p: ParameterTuple, rows: list[list[int]],
-                  dist: dict[tuple[int, int], int],
+def _forbidden_in(p: ParameterTuple, rows: list[list[int]], pairs,
                   first: bool = False) -> list[tuple[int, int, int]]:
     """The fully assigned forbidden triples u < v < w in sorted order, of the
-    graph whose pair -> distance dict is `dist` and whose label masks are
-    `rows` (as label_masks builds them); with `first`, only the first one.
+    graph whose label masks are `rows` (as label_masks builds them) and whose
+    labelled pairs ((u, v), distance), u < v, `pairs` lists in sorted order;
+    with `first`, only the first one.  The caller sorts: the engine's
+    completed graph comes out of its matrix in pair order already.
 
     For each assigned pair u < v labelled a, the third vertices w are the set
     bits of rows[b][u] & rows[c][v] over the forbidden (b, c) for a; only the
@@ -229,7 +230,7 @@ def _forbidden_in(p: ParameterTuple, rows: list[list[int]],
     """
     forbidden = _forbidden_pairs(p)
     found = []
-    for (u, v), a in sorted(dist.items()):
+    for (u, v), a in pairs:
         hits = 0
         for b, c in forbidden[a]:
             hits |= rows[b][u] & rows[c][v]
@@ -252,17 +253,18 @@ def scan_forbidden(p: ParameterTuple, g: LabelledGraph):
     if g.delta != p.delta:
         raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
     rows = label_masks(g)
-    head = _forbidden_in(p, rows, g._dist, first=True)
+    pairs = sorted(g._dist.items())
+    head = _forbidden_in(p, rows, pairs, first=True)
     yield from head
     if head:
-        yield from _forbidden_in(p, rows, g._dist)[1:]
+        yield from _forbidden_in(p, rows, pairs)[1:]
 
 
 def forbidden_triangles(p: ParameterTuple, g: LabelledGraph) -> list[tuple[int, int, int]]:
     """Sorted vertex triples of g that are fully assigned and forbidden."""
     if g.delta != p.delta:
         raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
-    return _forbidden_in(p, label_masks(g), g._dist)
+    return _forbidden_in(p, label_masks(g), sorted(g._dist.items()))
 
 
 def automorphisms(g: LabelledGraph, max_vertices: int = 9) -> list[tuple[int, ...]]:

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from magic_completion import (LabelledGraph, ParameterTuple, magic_complete,
+from magic_completion import (LabelledGraph, ParameterTuple, build_schedule,
+                              extract_obstacle, magic_complete,
                               select_magic_parameter, serialize_graph,
                               triangle_allowed)
 from magic_completion.cli import main
@@ -127,6 +128,63 @@ def test_forbidden_lines_match_get_reference(capsys, tmp_path, key):
             assert code == 1
             assert [line for line in out.splitlines() if line.startswith("forbidden ")] == expected
     assert runs >= 6
+
+
+@pytest.mark.parametrize("key", [(5, 3, 3, 14, 13), (5, 3, 3, 16, 13), (4, 1, 4, 14, 13)])
+def test_cli_obstacle_matches_extract_obstacle(capsys, tmp_path, key):
+    # the CLI pulls the obstacle back from its own run; the library function
+    # checks the trace against the graph and rebuilds the completed graph
+    p = ParameterTuple(*key)
+    magic = select_magic_parameter(p).selected
+    rng = random.Random(sum(key))
+    for n in (12, 25, 50, 80):
+        g = LabelledGraph(n, p.delta, [
+            (u, v, rng.randint(1, p.delta))
+            for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        path = tmp_path / f"g{n}.txt"
+        path.write_text(serialize_graph(g))
+        code, out, _ = _run(capsys, "complete", "--params", *map(str, key), "--file", str(path),
+                            "--trace", "--obstacle")
+        assert code == 1
+        obstacle = extract_obstacle(p, magic, g, magic_complete(p, magic, g).trace)
+        assert out.splitlines()[-2:] == [
+            "obstacle " + " ".join(map(str, obstacle.cycle.labels)),
+            "hom " + " ".join(map(str, obstacle.hom))]
+
+
+@pytest.mark.parametrize("graph", [
+    "graph 5 5\ne 0 1 1\ne 1 2 1\ne 2 3 5\ne 3 4 5\ne 0 4 5\n",
+    "graph 9 5\ne 0 1 1\ne 1 2 5\ne 2 3 5\ne 0 3 5\ne 4 5 2\ne 5 6 3\ne 7 8 4\n"])
+def test_complete_stats_go_to_stderr(capsys, tmp_path, graph):
+    path = tmp_path / "g.txt"
+    path.write_text(graph)
+    argv = ("complete", "--params", "5", "3", "3", "16", "13", "--file", str(path),
+            "--trace", "--obstacle")
+    code, plain, err = _run(capsys, *argv)
+    assert err == ""
+    stats_code, out, err = _run(capsys, *argv, "--stats")
+    assert (stats_code, out) == (code, plain)
+    lines = [line.split() for line in err.splitlines()]
+    assert all(line[:2] == ["stats", "complete"] for line in lines)
+    fields = [dict(item.split("=") for item in line[2:]) for line in lines]
+    *steps, totals, times = fields
+    printed = [line.split() for line in out.splitlines()]
+    # one line per scheduled step; its counts add up to the trace's step lines
+    assert [(int(f["step"]), int(f["target"])) for f in steps] == list(
+        build_schedule(ParameterTuple(5, 3, 3, 16, 13), 3)[0].steps)
+    for f in steps:
+        for family in ("plus", "minus", "cbound"):
+            assert int(f[family]) == sum(
+                1 for t in printed if t[:2] == ["step", f["step"]] and t[-1] == family)
+    assert sum(int(f[family]) for f in steps for family in ("plus", "minus", "cbound")) == sum(
+        1 for t in printed if t[0] == "step")
+    assert list(totals) == ["input", "plus", "minus", "cbound", "final-M", "forbidden"]
+    for family in ("plus", "minus", "cbound"):
+        assert int(totals[family]) == sum(int(f[family]) for f in steps)
+    assert int(totals["final-M"]) == sum(1 for t in printed if t[0] == "final")
+    assert int(totals["forbidden"]) == sum(1 for t in printed if t[0] == "forbidden")
+    stages = ["read_s", "complete_s", "format_s"] + (["obstacle_s"] if code == 1 else [])
+    assert list(times) == stages and all(float(v) >= 0 for v in times.values())
 
 
 def test_complete_missing_file(capsys):

@@ -136,6 +136,55 @@ def test_trace_serialization_deterministic():
     assert "step 2 set 1 3 = 4 witness 2 via minus" in first
 
 
+def _two_pass_serialize_trace(trace):
+    """serialize_trace as two passes over the records: derived steps, then
+    the final fill."""
+    p = trace.params
+    lines = [f"magic M={trace.magic} params {p.delta} {p.k1} {p.k2} {p.c0} {p.c1}"]
+    for record in trace.records:
+        if record.family in ("plus", "minus", "cbound"):
+            u, v = record.pair
+            lines.append(f"step {record.step} set {u} {v} = {record.value} "
+                         f"witness {record.witness} via {record.family}")
+    for record in trace.records:
+        if record.family == "final-M":
+            u, v = record.pair
+            lines.append(f"final {u} {v} = {record.value}")
+    return "\n".join(lines) + "\n"
+
+
+def _seeded_runs(seed, sizes):
+    """(p, magic, outcome) of seeded random graphs on the II-A, II-B and III
+    tuples, sparse ones (mostly completable) and dense ones (mostly not),
+    their edges given in shuffled order."""
+    rng = random.Random(seed)
+    for key in [(5, 3, 3, 14, 13), (5, 3, 3, 16, 13), (4, 1, 4, 14, 13)]:
+        p = ParameterTuple(*key)
+        magic = select_magic_parameter(p).selected
+        for n in sizes:
+            for density in (0.1, 0.5):
+                edges = [(u, v, rng.randint(1, p.delta))
+                         for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
+                rng.shuffle(edges)
+                yield p, magic, magic_complete(p, magic, LabelledGraph(n, p.delta, edges))
+
+
+def test_serialize_trace_matches_the_two_pass_reference():
+    runs = list(_seeded_runs(11, (2, 5, 12, 30)))
+    assert {outcome.completable for _, _, outcome in runs} == {True, False}
+    for _, _, outcome in runs:
+        assert serialize_trace(outcome.trace) == _two_pass_serialize_trace(outcome.trace)
+
+
+def test_completed_graph_is_built_in_pair_order():
+    # the completed graph's dict is read off the engine's matrix in pair
+    # order, so its items are already sorted and every later sort keeps them
+    for _, _, outcome in _seeded_runs(12, (0, 1, 4, 17, 40)):
+        done = outcome.completed
+        assert done.edges() == [(u, v, d) for (u, v), d in done._dist.items()]
+        assert list(done._dist) == list(itertools.combinations(range(done.n), 2))
+
+
 def test_trace_records_the_simultaneous_pass():
     g = cycle_to_graph(LabelledCycle((1, 1, 1, 5)), 5)
     outcome = magic_complete(P5, 3, g)
@@ -279,7 +328,7 @@ def test_one_loop_masks_match_the_graph():
                                  for u, v in itertools.combinations(range(n), 2)
                                  if v > 1 and rng.random() < 0.5])
         masks = _Masks(g)
-        assert list(masks.dist.items()) == [((u, v), d) for u, v, d in g.edges()]
+        assert masks.mat == [[g.get(u, v) or 0 for v in range(n)] for u in range(n)]
         for d in range(6):
             assert masks.rows[d] == [sum(1 << w for w in range(n)
                                          if w != u and g.get(u, w) == d)
@@ -289,6 +338,7 @@ def test_one_loop_masks_match_the_graph():
         assert masks.present == sum({1 << d for _, _, d in g.edges()})
         masks.assign(0, 1, 5)
         assert masks.present == sum({1 << d for _, _, d in g.edges()}) | 1 << 5
+        assert masks.mat[0][1] == masks.mat[1][0] == 5
 
 
 def test_magic_complete_requires_admissible_tuple():

@@ -427,13 +427,13 @@ def test_check_amalgamation_small():
 
 
 def _recorded_amalgamation(monkeypatch, engine):
-    """check_amalgamation(3,1,2,10,9) under `engine`, with the glued graph
-    and embeddings of every ordered amalgam in sweep order."""
+    """check_amalgamation(3,1,2,10,9) under `engine`, with the sides, the
+    embeddings and the glued graph of every ordered amalgam in sweep order."""
     glued_list = []
 
     def recording_glue(p, a, b1, b2, emb1, emb2):
         glued = glue(p, a, b1, b2, emb1, emb2)
-        glued_list.append((a, emb1, emb2, glued))
+        glued_list.append((a, b1, b2, emb1, emb2, glued))
         return glued
 
     glue = oracle._glue
@@ -453,14 +453,14 @@ def test_check_amalgamation_runs_the_engine_once_per_glued_graph(monkeypatch):
     report, glued = _recorded_amalgamation(monkeypatch, counted)
     assert (report.instances, report.failures) == (11438, [])
     assert len(calls) == len(set(calls)) == 2545
-    assert set(calls) == {g for _, _, _, g in glued}
+    assert set(calls) == {g for *_, g in glued}
 
 
 def test_every_amalgam_of_a_failing_glued_graph_is_reported(monkeypatch):
     # the glued graph that the most ordered amalgams share; the engine is
     # made to fail on it alone
     _, glued = _recorded_amalgamation(monkeypatch, magic_complete)
-    target, times = collections.Counter(g for _, _, _, g in glued).most_common(1)[0]
+    target, times = collections.Counter(g for *_, g in glued).most_common(1)[0]
     assert times > 1
 
     def fails_on_target(p, magic, g):
@@ -471,6 +471,8 @@ def test_every_amalgam_of_a_failing_glued_graph_is_reported(monkeypatch):
     assert report.instances == 11438
     assert report.failures == [
         Failure(serialize_graph(g),
-                f"amalgam over a={a.edges()} with emb1={e1} emb2={e2} is uncompletable")
-        for a, e1, e2, g in glued if g == target]
-    assert len(report.failures) == times
+                f"amalgam over a={a.edges()} with b1={b1.edges()} emb1={e1} "
+                f"b2={b2.edges()} emb2={e2} is uncompletable")
+        for a, b1, b2, e1, e2, g in glued if g == target]
+    # each failing amalgam has its own detail text
+    assert len({failure.detail for failure in report.failures}) == len(report.failures) == times
