@@ -13,18 +13,17 @@ import sys
 import time
 from functools import lru_cache
 
-from .completion import (FAMILY_FINAL, FAMILY_INPUT, build_schedule,
+from .completion import (_DERIVED, FAMILY_FINAL, FAMILY_INPUT, build_schedule,
                          magic_complete, serialize_trace, shortest_path_complete)
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .obstacles import (_DERIVED, _pull_back, enumerate_uncompletable_cycles,
-                        serialize_catalogue)
+from .obstacles import _pull_back, enumerate_uncompletable_cycles, serialize_catalogue
 from .oracle import (ExhaustiveScope, RandomScope, enumerate_all_completions,
                      format_report, run_verification_suite)
 from .params import (ParameterTuple, acceptability_failures,
                      classify_admissible, clause_evaluations,
                      enumerate_admissible, format_catalogue_row,
                      select_magic_parameter)
-from .space import (cycle_to_graph, fork_graph, label_matrix, parse_cycle,
+from .space import (DECIMAL, cycle_to_graph, fork_graph, parse_cycle,
                     parse_graph, serialize_graph)
 
 
@@ -113,11 +112,7 @@ def _cmd_complete(args) -> int:
         print(serialize_graph(outcome.completed), end="")
     else:
         print("verdict Uncompletable")
-        mat = label_matrix(outcome.completed)
-        text = [str(i) for i in range(max(g.n, p.delta + 1))]
-        print("\n".join(f"forbidden {text[u]} {text[v]} {text[w]} = "
-                        f"{text[mat[u][v]]} {text[mat[u][w]]} {text[mat[v][w]]}"
-                        for u, v, w in outcome.forbidden_triangles))
+        print(_forbidden_lines(outcome))
     marks.append(time.perf_counter())
     if args.obstacle and not outcome.completable:
         # this run's own graph and records: extract_obstacle would check and rebuild them
@@ -129,6 +124,27 @@ def _cmd_complete(args) -> int:
     if args.stats:
         print(_complete_stats(outcome, marks), end="", file=sys.stderr)
     return 0 if outcome.completable else 1
+
+
+def _forbidden_lines(outcome) -> str:
+    """One `forbidden u v w = a b c` line per forbidden triangle.  The
+    triangles come sorted, so each run of equal (u, v) formats its head and
+    its ` = a ` once and then one line per w, over the completed graph's
+    labels as text."""
+    text = DECIMAL
+    n = outcome.completed.n
+    labels = [[""] * n for _ in range(n)]
+    for (u, v), d in outcome.completed._dist.items():
+        labels[u][v] = labels[v][u] = text[d]
+    lines = []
+    run_u = run_v = -1
+    for u, v, w in outcome.forbidden_triangles:
+        if v != run_v or u != run_u:
+            run_u, run_v = u, v
+            head, mid = f"forbidden {text[u]} {text[v]} ", f" = {labels[u][v]} "
+            at_u, at_v = labels[u], labels[v]
+        lines.append(f"{head}{text[w]}{mid}{at_u[w]} {at_v[w]}")
+    return "\n".join(lines)
 
 
 def _complete_stats(outcome, marks) -> str:

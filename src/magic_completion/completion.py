@@ -27,13 +27,15 @@ from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
 from .params import ParameterTuple, classify_admissible, eligible_magic
-from .space import LabelledGraph, _forbidden_in, label_masks
+from .space import (DECIMAL, LabelledGraph, _forbidden_in, _scan_tables,
+                    label_masks)
 
 FAMILY_PLUS = "plus"
 FAMILY_MINUS = "minus"
 FAMILY_CBOUND = "cbound"
 FAMILY_FINAL = "final-M"
 FAMILY_INPUT = "input"
+_DERIVED = (FAMILY_PLUS, FAMILY_MINUS, FAMILY_CBOUND)
 
 
 @dataclass(frozen=True)
@@ -273,11 +275,13 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
         raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
     schedule, rules, oriented = _schedule_cached(p, magic)
     masks = _Masks(g)
-    records = [TraceRecord(None, pair, d, None, FAMILY_INPUT)
+    # tuple.__new__ skips the NamedTuple constructor's keyword handling
+    new = tuple.__new__
+    records = [new(TraceRecord, (None, pair, d, None, FAMILY_INPUT))
                for pair, d in sorted(g._dist.items())]
     for step, target in schedule.steps:
         for u, v, w, family in _apply_rule(masks, rules[target], oriented[target]):
-            records.append(TraceRecord(step, (u, v), target, w, family))
+            records.append(new(TraceRecord, (step, (u, v), target, w, family)))
     # final fill: one OR per vertex; known[v] would only gain bits free() ignores
     fill, known, mat = masks.rows[magic], masks.known, masks.mat
     for u in range(g.n):
@@ -287,26 +291,30 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
         for v in _set_bits(free):
             fill[v] |= 1 << u
             mat[u][v] = mat[v][u] = magic
-            records.append(TraceRecord(None, (u, v), magic, None, FAMILY_FINAL))
+            records.append(new(TraceRecord, (None, (u, v), magic, None, FAMILY_FINAL)))
     # read off in pair order, so the dict's items are sorted for every later use
     dist = dict(zip(itertools.combinations(range(g.n), 2), itertools.chain.from_iterable(
         line[u + 1:] for u, line in enumerate(mat))))
     completed = LabelledGraph._checked(g.n, g.delta, dist)
-    bad = tuple(_forbidden_in(p, masks.rows, dist.items()))
+    bad = tuple(_forbidden_in(_scan_tables(p), masks.rows, mat, dist.items()))
     trace = CompletionTrace(p, magic, tuple(records))
     return CompletionOutcome(completed, trace, not bad, bad)
 
 
 def serialize_trace(trace: CompletionTrace) -> str:
-    """Text form of a trace: header, step records, then the final fill."""
+    """Text form of a trace: header, step records, then the final fill.
+    Vertices, steps and values are written through DECIMAL, which covers
+    every number an engine trace holds."""
     p = trace.params
+    text = DECIMAL
     lines = [f"magic M={trace.magic} params {p.delta} {p.k1} {p.k2} {p.c0} {p.c1}"]
     finals = []
     for step, (u, v), value, witness, family in trace.records:
         if family == FAMILY_FINAL:
-            finals.append(f"final {u} {v} = {value}")
-        elif family in (FAMILY_PLUS, FAMILY_MINUS, FAMILY_CBOUND):
-            lines.append(f"step {step} set {u} {v} = {value} witness {witness} via {family}")
+            finals.append(f"final {text[u]} {text[v]} = {text[value]}")
+        elif family in _DERIVED:
+            lines.append(f"step {text[step]} set {text[u]} {text[v]} = {text[value]} "
+                         f"witness {text[witness]} via {family}")
     lines.extend(finals)
     return "\n".join(lines) + "\n"
 

@@ -16,15 +16,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
-from .completion import (FAMILY_CBOUND, FAMILY_FINAL, FAMILY_INPUT,
-                         FAMILY_MINUS, FAMILY_PLUS, CompletionTrace,
-                         magic_complete)
+from .completion import (_DERIVED, FAMILY_FINAL, FAMILY_INPUT,
+                         CompletionTrace, magic_complete)
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .params import ParameterTuple
 from .space import (LabelledCycle, LabelledGraph, canonical_cycle,
                     cycle_to_graph, scan_forbidden)
-
-_DERIVED = (FAMILY_PLUS, FAMILY_MINUS, FAMILY_CBOUND)
 
 
 @dataclass(frozen=True)

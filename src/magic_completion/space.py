@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import GraphParseError, InputError, ResourceLimitError
 from .params import MAX_DELTA, ParameterTuple
@@ -20,6 +21,12 @@ from .params import MAX_DELTA, ParameterTuple
 # a larger graph is refused with ResourceLimitError, and a graph file header
 # is checked before any edge is read.
 MAX_VERTICES = 1000
+
+# str(i) for every vertex, vertex count, label and step number; the text
+# writers index it instead of formatting each number, and parse_graph reads
+# a canonical decimal token back through the reverse dict.
+DECIMAL = tuple(map(str, range(MAX_VERTICES + 1)))
+_DECIMAL_VALUE = {text: i for i, text in enumerate(DECIMAL)}
 
 
 class LabelledGraph:
@@ -174,11 +181,11 @@ def triangle_allowed(p: ParameterTuple, a: int, b: int, c: int) -> bool:
 
 def is_member(p: ParameterTuple, g: LabelledGraph) -> bool:
     """Membership test for complete graphs: no triangle violates any bound."""
-    if g.delta != p.delta:
-        raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
+    views = _scan_views(p, g)  # refuses a graph of another delta first
     if not g.is_complete():
         raise InputError("membership is only defined for complete graphs")
-    return next(scan_forbidden(p, g), None) is None
+    # any forbidden triangle will do, so the pairs need not be sorted
+    return not _forbidden_in(*views, g._dist.items(), first=True)
 
 
 def label_matrix(g: LabelledGraph) -> list[list[int]]:
@@ -206,31 +213,80 @@ def _label_pairs(delta: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.product(range(1, delta + 1), repeat=2))
 
 
+# Below this many vertices the triangle scan reads the label matrix only:
+# building the label masks costs more than the mask scans save (the two
+# break even at 10-12 vertices on members of the II-A, II-B and III tuples).
+_MASKS_FROM = 12
+# counts that send every pair to the lookup scan
+_LOOKUP_ONLY = (MAX_VERTICES,) * (MAX_DELTA + 1)
+
+
+class _ScanTables(NamedTuple):
+    """The forbidden-triangle scan's per-tuple tables, 1-based."""
+
+    # the label pairs (b, c) with (a, b, c) forbidden, per label a
+    forbidden: tuple[tuple[tuple[int, int], ...], ...]
+    # len(forbidden[a]), per label a
+    counts: tuple[int, ...]
+    # bad[a][b] has bit c set when (a, b, c) is forbidden; entry 0 stands
+    # for a missing side and is never forbidden
+    bad: tuple[tuple[int, ...], ...]
+    # the vertex count from which a scan builds label masks: below low + 3,
+    # low the smallest positive count, no pair needs them
+    masks_from: int
+
+
 @lru_cache(maxsize=None)
-def _forbidden_pairs(p: ParameterTuple) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Entry a lists the label pairs (b, c) with (a, b, c) forbidden.  1-based."""
+def _scan_tables(p: ParameterTuple) -> _ScanTables:
+    """The scan tables of the tuple p."""
     cube = allowed_cube(p)
-    return ((),) + tuple(tuple(pair for pair in _label_pairs(p.delta)
-                               if not cube[a][pair[0]][pair[1]])
-                         for a in range(1, p.delta + 1))
+    labels = range(1, p.delta + 1)
+    forbidden = ((),) + tuple(tuple(pair for pair in _label_pairs(p.delta)
+                                    if not cube[a][pair[0]][pair[1]])
+                              for a in labels)
+    counts = tuple(map(len, forbidden))
+    bad = tuple(tuple(sum(1 << c for c in labels if a and b and not cube[a][b][c])
+                      for b in range(p.delta + 1))
+                for a in range(p.delta + 1))
+    low = min((k for k in counts if k), default=MAX_VERTICES)
+    return _ScanTables(forbidden, counts, bad, max(low + 3, _MASKS_FROM))
 
 
-def _forbidden_in(p: ParameterTuple, rows: list[list[int]], pairs,
+def _forbidden_in(tables: _ScanTables, rows, mat, pairs,
                   first: bool = False) -> list[tuple[int, int, int]]:
     """The fully assigned forbidden triples u < v < w in sorted order, of the
-    graph whose label masks are `rows` (as label_masks builds them) and whose
+    graph whose label matrix is `mat` (as label_matrix builds it), whose
+    label masks are `rows` (as label_masks builds them, or None) and whose
     labelled pairs ((u, v), distance), u < v, `pairs` lists in sorted order;
-    with `first`, only the first one.  The caller sorts: the engine's
-    completed graph comes out of its matrix in pair order already.
+    `tables` is _scan_tables of the tuple.  With `first`, only the first
+    triple.  The caller sorts: the engine's completed graph comes out of its
+    matrix in pair order already.
 
-    For each assigned pair u < v labelled a, the third vertices w are the set
-    bits of rows[b][u] & rows[c][v] over the forbidden (b, c) for a; only the
-    bits above v are kept, so every triangle is found once, from its two
-    smallest vertices.
+    Every triangle is found once, from its two smallest vertices u < v, as a
+    third vertex w > v.  For a pair labelled a, the scan pays the cheaper of
+    two ways to find those w:
+
+    - one lookup per w, bad[a][mat[u][w]] >> mat[v][w] & 1, when there are
+      no more vertices above v than forbidden label pairs of a, or when
+      `rows` is None;
+    - otherwise the set bits above v of rows[b][u] & rows[c][v], ORed over
+      the forbidden (b, c) for a.
     """
-    forbidden = _forbidden_pairs(p)
+    forbidden, counts, bad, _ = tables
+    if rows is None:
+        counts = _LOOKUP_ONLY
+    last = len(mat) - 1
     found = []
+    append = found.append
     for (u, v), a in pairs:
+        if last - v <= counts[a]:
+            bad_a, mu, mv = bad[a], mat[u], mat[v]
+            for w in range(v + 1, last + 1):
+                if bad_a[mu[w]] >> mv[w] & 1:
+                    if first:
+                        return [(u, v, w)]
+                    append((u, v, w))
+            continue
         hits = 0
         for b, c in forbidden[a]:
             hits |= rows[b][u] & rows[c][v]
@@ -239,9 +295,19 @@ def _forbidden_in(p: ParameterTuple, rows: list[list[int]], pairs,
             return [(u, v, v + (hits & -hits).bit_length())]
         while hits:
             low = hits & -hits
-            found.append((u, v, v + low.bit_length()))
+            append((u, v, v + low.bit_length()))
             hits ^= low
     return found
+
+
+def _scan_views(p: ParameterTuple, g: LabelledGraph):
+    """_forbidden_in's tables, label masks and label matrix for g; the
+    label masks only from masks_from vertices on."""
+    if g.delta != p.delta:
+        raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
+    tables = _scan_tables(p)
+    rows = label_masks(g) if g.n >= tables.masks_from else None
+    return tables, rows, label_matrix(g)
 
 
 def scan_forbidden(p: ParameterTuple, g: LabelledGraph):
@@ -250,21 +316,16 @@ def scan_forbidden(p: ParameterTuple, g: LabelledGraph):
     The scan stops at the first triangle; only a caller that asks for more
     pays for the whole scan.
     """
-    if g.delta != p.delta:
-        raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
-    rows = label_masks(g)
-    pairs = sorted(g._dist.items())
-    head = _forbidden_in(p, rows, pairs, first=True)
+    views = *_scan_views(p, g), sorted(g._dist.items())
+    head = _forbidden_in(*views, first=True)
     yield from head
     if head:
-        yield from _forbidden_in(p, rows, pairs)[1:]
+        yield from _forbidden_in(*views)[1:]
 
 
 def forbidden_triangles(p: ParameterTuple, g: LabelledGraph) -> list[tuple[int, int, int]]:
     """Sorted vertex triples of g that are fully assigned and forbidden."""
-    if g.delta != p.delta:
-        raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
-    return _forbidden_in(p, label_masks(g), sorted(g._dist.items()))
+    return _forbidden_in(*_scan_views(p, g), sorted(g._dist.items()))
 
 
 def automorphisms(g: LabelledGraph, max_vertices: int = 9) -> list[tuple[int, ...]]:
@@ -364,41 +425,55 @@ def parse_graph(text: str) -> LabelledGraph:
     First meaningful line: ``graph <n> <delta>``.  Each following line:
     ``e <u> <v> <d>``.  Blank lines and lines starting with ``#`` are skipped.
     Errors carry the offending line number.
+
+    Each line is split once; a canonical decimal field is read from
+    DECIMAL's reverse dict, and any other form int() accepts (``07``,
+    ``+3``, ``1_0``, non-ASCII digits) through int().
     """
-    n = delta = None
+    lines = enumerate(text.splitlines(), start=1)
+    for line_no, raw in lines:
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        if tokens[0] != "graph" or len(tokens) != 3:
+            raise GraphParseError(line_no, f"expected 'graph <n> <delta>', got {raw.strip()!r}")
+        try:
+            n, delta = int(tokens[1]), int(tokens[2])
+        except ValueError:
+            raise GraphParseError(
+                line_no, f"non-integer header fields in {raw.strip()!r}") from None
+        if n < 0 or delta < 1:
+            raise GraphParseError(line_no, f"invalid header values in {raw.strip()!r}")
+        if n > MAX_VERTICES:
+            raise ResourceLimitError(
+                f"line {line_no}: {n} vertices exceed the budget of {MAX_VERTICES}")
+        if delta > MAX_DELTA:
+            raise ResourceLimitError(
+                f"line {line_no}: delta {delta} exceeds the budget of {MAX_DELTA}")
+        break
+    else:
+        raise GraphParseError(1, "missing 'graph <n> <delta>' header")
+    value = _DECIMAL_VALUE.get
     dist: dict[tuple[int, int], int] = {}
     seen: dict[tuple[int, int], int] = {}  # pair -> line that set it
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if n is None:
-            if tokens[0] != "graph" or len(tokens) != 3:
-                raise GraphParseError(line_no, f"expected 'graph <n> <delta>', got {line!r}")
-            try:
-                n, delta = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise GraphParseError(line_no, f"non-integer header fields in {line!r}") from None
-            if n < 0 or delta < 1:
-                raise GraphParseError(line_no, f"invalid header values in {line!r}")
-            if n > MAX_VERTICES:
-                raise ResourceLimitError(
-                    f"line {line_no}: {n} vertices exceed the budget of {MAX_VERTICES}")
-            if delta > MAX_DELTA:
-                raise ResourceLimitError(
-                    f"line {line_no}: delta {delta} exceeds the budget of {MAX_DELTA}")
+    for line_no, raw in lines:
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
         if tokens[0] != "e" or len(tokens) != 4:
-            raise GraphParseError(line_no, f"expected 'e <u> <v> <d>', got {line!r}")
-        try:
-            u, v, d = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        except ValueError:
-            raise GraphParseError(line_no, f"non-integer edge fields in {line!r}") from None
+            raise GraphParseError(line_no, f"expected 'e <u> <v> <d>', got {raw.strip()!r}")
+        _, su, sv, sd = tokens
+        u, v, d = value(su), value(sv), value(sd)
+        if u is None or v is None or d is None:
+            try:
+                u, v, d = int(su), int(sv), int(sd)
+            except ValueError:
+                raise GraphParseError(
+                    line_no, f"non-integer edge fields in {raw.strip()!r}") from None
         if u == v:
             raise GraphParseError(line_no, f"loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(line_no, f"vertex out of range in {line!r}")
+            raise GraphParseError(line_no, f"vertex out of range in {raw.strip()!r}")
         if not (1 <= d <= delta):
             raise GraphParseError(line_no, f"distance {d} out of range 1..{delta}")
         key = (u, v) if u < v else (v, u)
@@ -407,13 +482,12 @@ def parse_graph(text: str) -> LabelledGraph:
                 line_no, f"duplicate distance for pair {key} (first set on line {seen[key]})")
         seen[key] = line_no
         dist[key] = d
-    if n is None:
-        raise GraphParseError(1, "missing 'graph <n> <delta>' header")
     return LabelledGraph._checked(n, delta, dist)
 
 
 def serialize_graph(g: LabelledGraph) -> str:
     """Inverse of parse_graph; edges sorted by vertex pair, one per line."""
+    text = DECIMAL
     lines = [f"graph {g.n} {g.delta}"]
-    lines.extend(f"e {u} {v} {d}" for u, v, d in g.edges())
+    lines.extend([f"e {text[u]} {text[v]} {text[d]}" for (u, v), d in sorted(g._dist.items())])
     return "\n".join(lines) + "\n"

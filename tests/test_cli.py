@@ -130,6 +130,60 @@ def test_forbidden_lines_match_get_reference(capsys, tmp_path, key):
     assert runs >= 6
 
 
+def _reference_complete_stdout(p, magic, g, trace):
+    """`complete --obstacle` stdout from the writers as they were before the
+    decimal table: str() formatting and three `get` calls per triangle."""
+    outcome = magic_complete(p, magic, g)
+    if trace:
+        lines = [f"magic M={magic} params {p.delta} {p.k1} {p.k2} {p.c0} {p.c1}"]
+        finals = []
+        for step, (u, v), value, witness, family in outcome.trace.records:
+            if family == "final-M":
+                finals.append(f"final {u} {v} = {value}")
+            elif family in ("plus", "minus", "cbound"):
+                lines.append(f"step {step} set {u} {v} = {value} witness {witness} via {family}")
+        lines.extend(finals)
+    else:
+        lines = [f"magic M={magic} params {p.delta} {p.k1} {p.k2} {p.c0} {p.c1}"]
+    done = outcome.completed
+    if outcome.completable:
+        lines.append("verdict Completable")
+        lines.append(f"graph {done.n} {done.delta}")
+        lines.extend(f"e {u} {v} {d}" for u, v, d in done.edges())
+    else:
+        lines.append("verdict Uncompletable")
+        lines.extend(f"forbidden {u} {v} {w} = {done.get(u, v)} {done.get(u, w)} {done.get(v, w)}"
+                     for u, v, w in outcome.forbidden_triangles)
+        obstacle = extract_obstacle(p, magic, g, outcome.trace)
+        lines.append("obstacle " + " ".join(map(str, obstacle.cycle.labels)))
+        lines.append("hom " + " ".join(map(str, obstacle.hom)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("key", [(5, 3, 3, 14, 13), (5, 3, 3, 16, 13), (4, 1, 4, 14, 13),
+                                 (32, 1, 31, 68, 67)])
+def test_complete_stdout_matches_the_reference_writers(capsys, tmp_path, key):
+    # seeded runs of both verdicts, with and without the trace; the last
+    # tuple has delta MAX_DELTA, so labels and steps reach 32 and 62
+    p = ParameterTuple(*key)
+    magic = select_magic_parameter(p).selected
+    rng = random.Random(sum(key) + 1)
+    verdicts = set()
+    for n in (1, 6, 15, 40):
+        for density in (0.05, 0.3, 0.7):
+            g = LabelledGraph(n, p.delta, [
+                (u, v, rng.randint(1, p.delta))
+                for u, v in itertools.combinations(range(n), 2) if rng.random() < density])
+            path = tmp_path / f"g{n}-{density}.txt"
+            path.write_text(serialize_graph(g))
+            for trace in (False, True):
+                code, out, err = _run(capsys, "complete", "--params", *map(str, key), "--file",
+                                      str(path), "--obstacle", *(["--trace"] if trace else []))
+                assert (out, err) == (_reference_complete_stdout(p, magic, g, trace), "")
+                verdicts.add(code)
+    assert verdicts == {0, 1}
+
+
 @pytest.mark.parametrize("key", [(5, 3, 3, 14, 13), (5, 3, 3, 16, 13), (4, 1, 4, 14, 13)])
 def test_cli_obstacle_matches_extract_obstacle(capsys, tmp_path, key):
     # the CLI pulls the obstacle back from its own run; the library function

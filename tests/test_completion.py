@@ -11,8 +11,10 @@ from magic_completion import (ForkRule, InputError, InvariantViolation,
                               forbidden_triangles, fork_graph, magic_complete,
                               select_magic_parameter, serialize_trace,
                               shortest_path_complete, time_of)
-from magic_completion.completion import (_apply_rule, _Masks, _oriented_forks,
-                                         _schedule_cached)
+from magic_completion import completion
+from magic_completion.completion import (CompletionTrace, _apply_rule, _Masks,
+                                         _oriented_forks)
+from magic_completion.space import MAX_VERTICES, label_masks, label_matrix
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 
@@ -170,10 +172,26 @@ def _seeded_runs(seed, sizes):
 
 
 def test_serialize_trace_matches_the_two_pass_reference():
-    runs = list(_seeded_runs(11, (2, 5, 12, 30)))
-    assert {outcome.completable for _, _, outcome in runs} == {True, False}
-    for _, _, outcome in runs:
-        assert serialize_trace(outcome.trace) == _two_pass_serialize_trace(outcome.trace)
+    runs = [outcome for _, _, outcome in _seeded_runs(11, (2, 5, 12, 30))]
+    assert {outcome.completable for outcome in runs} == {True, False}
+    # the decimal table's edges: delta-32 labels and steps, and every trace
+    # moved to the top of the vertex range, so that it names vertex 999
+    top = ParameterTuple(32, 1, 31, 68, 67)
+    rng = random.Random(32)
+    runs += [magic_complete(top, 16, LabelledGraph(n, 32, [
+        (u, v, rng.randint(1, 32)) for u, v in itertools.combinations(range(n), 2)
+        if rng.random() < density])) for n in (3, 12, 40) for density in (0.1, 0.6)]
+    traces = [outcome.trace for outcome in runs]
+    assert max(record.value for trace in traces for record in trace.records) == 32
+    for trace in list(traces):
+        shift = MAX_VERTICES - 1 - max((max(r.pair) for r in trace.records), default=0)
+        traces.append(CompletionTrace(trace.params, trace.magic, tuple(
+            TraceRecord(r.step, (r.pair[0] + shift, r.pair[1] + shift), r.value,
+                        None if r.witness is None else r.witness + shift, r.family)
+            for r in trace.records)))
+    assert any(f" {MAX_VERTICES - 1} " in serialize_trace(trace) for trace in traces)
+    for trace in traces:
+        assert serialize_trace(trace) == _two_pass_serialize_trace(trace)
 
 
 def test_completed_graph_is_built_in_pair_order():
@@ -240,6 +258,33 @@ def test_engine_scan_matches_a_fresh_scan(key):
             for u, v, w in outcome.forbidden_triangles:
                 assert not {(u, v), (u, w), (v, w)} & final
     assert runs >= 15
+
+
+@pytest.mark.parametrize("key", CASE_KEYS)
+def test_the_scan_reads_the_completed_graphs_masks(monkeypatch, key):
+    # after the final fill the engine hands its own masks to the scan; they
+    # must be the completed graph's, both halves of every symmetric pair
+    scanned = []
+    scan = completion._forbidden_in
+
+    def spy(tables, rows, mat, pairs, first=False):
+        scanned.append((rows, mat))
+        return scan(tables, rows, mat, pairs, first)
+
+    monkeypatch.setattr(completion, "_forbidden_in", spy)
+    p = ParameterTuple(*key)
+    magic = select_magic_parameter(p).selected
+    rng = random.Random(sum(key))
+    for n in (5, 6, 9, 16, 31, 50, 80):
+        for density in (0.1, 0.4, 0.8):
+            g = LabelledGraph(n, p.delta, [
+                (u, v, rng.randint(1, p.delta))
+                for u, v in itertools.combinations(range(n), 2) if rng.random() < density])
+            outcome = magic_complete(p, magic, g)
+            rows, mat = scanned.pop()
+            assert rows == label_masks(outcome.completed)
+            assert mat == label_matrix(outcome.completed)
+    assert not scanned
 
 
 def test_cascade_within_one_pass_is_refused():

@@ -14,7 +14,8 @@ from magic_completion import (GraphParseError, InputError, LabelledCycle,
                               serialize_cycle, serialize_graph, triangle_allowed)
 from magic_completion.oracle import _extend_member
 from magic_completion.params import MAX_DELTA
-from magic_completion.space import scan_forbidden
+from magic_completion.space import (MAX_VERTICES, _forbidden_in, _scan_tables,
+                                    label_masks, label_matrix, scan_forbidden)
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 
@@ -270,3 +271,197 @@ def test_graph_equality_and_pickle_support():
     assert hash(g) == hash(same)
     import pickle
     assert pickle.loads(pickle.dumps(g)) == g
+
+
+# delta 3..8; label 2 of (3, 1, 2, 10, 9) has no forbidden pair
+SCAN_KEYS = [(3, 1, 2, 10, 9), (3, 3, 3, 10, 11), (4, 1, 4, 14, 13), (5, 3, 3, 14, 13),
+             (5, 3, 3, 16, 13), (6, 1, 5, 16, 15), (7, 1, 6, 18, 17), (8, 5, 5, 24, 21)]
+
+
+def _reference_scan(p, g):
+    """Forbidden triples u < v < w of g by a triple loop over classify_triangle."""
+    verdicts = {}
+    found = []
+    for u, v, w in itertools.combinations(range(g.n), 3):
+        sides = (g.get(u, v), g.get(u, w), g.get(v, w))
+        if None in sides:
+            continue
+        if sides not in verdicts:
+            verdicts[sides] = not classify_triangle(p, *sides).allowed
+        if verdicts[sides]:
+            found.append((u, v, w))
+    return found
+
+
+@pytest.mark.parametrize("key", SCAN_KEYS)
+def test_scan_matches_a_triple_loop_over_classify_triangle(key):
+    # every graph also goes through both ways of finding the third vertices:
+    # lookups only (no masks) and, per pair, lookups or the mask OR
+    p = ParameterTuple(*key)
+    magic = select_magic_parameter(p).selected
+    tables = _scan_tables(p)
+    assert key != (3, 1, 2, 10, 9) or tables.counts[2] == 0
+    rng = random.Random(sum(key))
+    for n in (0, 1, 2, 3, 4, 7, 12, 80):
+        graphs = []
+        for density in (0.3, 0.7, 1.0):
+            # shuffled, so that is_member, which skips the sort, sees unsorted pairs
+            edges = [(u, v, rng.randint(1, p.delta))
+                     for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
+            rng.shuffle(edges)
+            graphs.append(LabelledGraph(n, p.delta, edges))
+        graphs.append(_extend_member(p, magic, rng, LabelledGraph(0, p.delta), n))
+        for g in graphs:
+            expected = _reference_scan(p, g)
+            assert forbidden_triangles(p, g) == expected
+            assert list(scan_forbidden(p, g)) == expected
+            assert next(scan_forbidden(p, g), None) == (expected[0] if expected else None)
+            mat, pairs = label_matrix(g), sorted(g._dist.items())
+            for rows in (None, label_masks(g)):
+                assert _forbidden_in(tables, rows, mat, pairs) == expected
+                assert _forbidden_in(tables, rows, mat, pairs, first=True) == expected[:1]
+            if g.is_complete():
+                assert is_member(p, g) == (not expected)
+        # members pass; these random complete graphs of 7 or more vertices do not
+        assert is_member(p, graphs[-1]) and (n < 7 or not is_member(p, graphs[-2]))
+
+
+def _reference_parse_graph(text):
+    """parse_graph as it was before it split each line once: strip, test for
+    blank and comment lines, then split; every field through int()."""
+    n = delta = None
+    dist = {}
+    seen = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if n is None:
+            if tokens[0] != "graph" or len(tokens) != 3:
+                raise GraphParseError(line_no, f"expected 'graph <n> <delta>', got {line!r}")
+            try:
+                n, delta = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                raise GraphParseError(line_no, f"non-integer header fields in {line!r}") from None
+            if n < 0 or delta < 1:
+                raise GraphParseError(line_no, f"invalid header values in {line!r}")
+            if n > MAX_VERTICES:
+                raise ResourceLimitError(
+                    f"line {line_no}: {n} vertices exceed the budget of {MAX_VERTICES}")
+            if delta > MAX_DELTA:
+                raise ResourceLimitError(
+                    f"line {line_no}: delta {delta} exceeds the budget of {MAX_DELTA}")
+            continue
+        if tokens[0] != "e" or len(tokens) != 4:
+            raise GraphParseError(line_no, f"expected 'e <u> <v> <d>', got {line!r}")
+        try:
+            u, v, d = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        except ValueError:
+            raise GraphParseError(line_no, f"non-integer edge fields in {line!r}") from None
+        if u == v:
+            raise GraphParseError(line_no, f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphParseError(line_no, f"vertex out of range in {line!r}")
+        if not (1 <= d <= delta):
+            raise GraphParseError(line_no, f"distance {d} out of range 1..{delta}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphParseError(
+                line_no, f"duplicate distance for pair {key} (first set on line {seen[key]})")
+        seen[key] = line_no
+        dist[key] = d
+    if n is None:
+        raise GraphParseError(1, "missing 'graph <n> <delta>' header")
+    return LabelledGraph(n, delta, [(u, v, d) for (u, v), d in dist.items()])
+
+
+PARSE_CORPUS = [
+    # valid
+    "graph 0 1\n",
+    "graph 4 5\ne 0 1 2\ne 1 3 5\n",
+    "# partial instance\n\ngraph 4 5\n\n# an edge\ne 1 0 2\n   \ne 1 3 5\n#e 2 3 1\n",
+    "graph 4 5\r\ne 0 1 2\r\n\r\ne 2 3 4\r\n",
+    "\tgraph\t4\t5\ne\t0\t1\t2\n  e  2   3 4  \n",
+    "graph 12 5\ne 07 08 05\ne +3 1_0 +1\ne ٣ ٤ ٥\ne 0 11 5\n",
+    "graph 1000 32\ne 0 999 32\ne 998 999 1\ne 500 2 17\n",
+    "graph 3 5\ne 0 1 2",
+    "graph 3 5\n#\n# e 0 0 0\ne 0 1 2\n",
+    "graph\u00a04 5\ne\u30000 1 2\x0ce 2 3 1\x0b\n",
+    # a bad header
+    "",
+    "\n\n# only comments\n",
+    "e 0 1 2\n",
+    "graph 4\n",
+    "graph 4 5 6\n",
+    "graphs 4 5\n",
+    "graph x 5\n",
+    "graph 4 5.0\n",
+    "graph -1 5\n",
+    "graph 4 0\n",
+    "graph 1001 5\n",
+    "# oversized\ngraph 100000000000000000000 5\n",
+    "graph 4 33\n",
+    "graph 4 5\ngraph 4 5\n",
+    # a bad edge line
+    "graph 4 5\nedge 0 1 2\n",
+    "graph 4 5\ne 0 1\n",
+    "graph 4 5\ne 0 1 2 3\n",
+    "graph 4 5\ne 0 x 2\n",
+    "graph 4 5\ne 0 1 2.5\n",
+    "graph 4 5\ne 0 1 0x2\n",
+    "graph 4 5\ne 2 2 1\n",
+    "graph 4 5\ne 007 7 1\n",
+    "graph 4 5\ne 0 4 1\n",
+    "graph 4 5\ne -1 2 1\n",
+    "graph 4 5\ne 0 1 0\n",
+    "graph 4 5\ne 0 1 6\n",
+    "graph 4 5\ne 0 1 -3\n",
+    "graph 4 5\ne 0 1 2\n# again\ne 1 0 3\n",
+    "graph 4 5\r\ne 2 3 1\r\n\r\ne 3 2 1\r\n",
+    "graph 1000 32\ne 999 1000 1\n",
+]
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except (GraphParseError, ResourceLimitError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+def test_parse_graph_matches_the_strip_first_reference():
+    outcomes = [_parsed(parse_graph, text) for text in PARSE_CORPUS]
+    assert outcomes == [_parsed(_reference_parse_graph, text) for text in PARSE_CORPUS]
+    # the corpus holds graphs, every parse error and both budgets
+    kinds = {outcome[0] if isinstance(outcome, tuple) else LabelledGraph for outcome in outcomes}
+    assert kinds == {LabelledGraph, GraphParseError, ResourceLimitError}
+    assert _parsed(parse_graph, PARSE_CORPUS[5]) == LabelledGraph(
+        12, 5, [(7, 8, 5), (3, 10, 1), (3, 4, 5), (0, 11, 5)])
+
+
+def _reference_serialize_graph(g):
+    lines = [f"graph {g.n} {g.delta}"]
+    lines.extend(f"e {u} {v} {d}" for u, v, d in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def test_serialize_graph_matches_the_reference_at_the_table_edges():
+    # a sparse graph on MAX_VERTICES vertices that uses the last one, with
+    # labels up to MAX_DELTA, given in shuffled order
+    rng = random.Random(9)
+    pairs = {(0, 999), (998, 999), (0, 1)} | {
+        tuple(sorted(rng.sample(range(MAX_VERTICES), 2))) for _ in range(400)}
+    edges = [(v, u, rng.randint(1, MAX_DELTA)) for u, v in pairs] + [(999, 500, MAX_DELTA)]
+    rng.shuffle(edges)
+    big = LabelledGraph(MAX_VERTICES, MAX_DELTA, edges)
+    graphs = [big, LabelledGraph(0, 1), LabelledGraph(3, 2, [(2, 0, 2)])]
+    graphs += [LabelledGraph(n, 8, [(u, v, rng.randint(1, 8))
+                                    for u, v in itertools.combinations(range(n), 2)
+                                    if rng.random() < 0.5]) for n in (5, 40, 120)]
+    for g in graphs:
+        text = serialize_graph(g)
+        assert text == _reference_serialize_graph(g)
+        assert parse_graph(text) == g
+    assert "e 999 500 32\n" not in serialize_graph(big)
+    assert f"e 500 999 {MAX_DELTA}\n" in serialize_graph(big)
