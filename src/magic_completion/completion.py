@@ -301,12 +301,31 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
     return CompletionOutcome(completed, trace, not bad, bad)
 
 
+# DECIMAL keyed by number: a number outside the table raises KeyError here,
+# where a negative index into the tuple would read its other end
+_DECIMAL_OF = dict(enumerate(DECIMAL))
+
+
+class _AnyNumber:
+    """str() of any number, indexed like DECIMAL."""
+
+    def __getitem__(self, number) -> str:
+        return str(number)
+
+
 def serialize_trace(trace: CompletionTrace) -> str:
     """Text form of a trace: header, step records, then the final fill.
-    Vertices, steps and values are written through DECIMAL, which covers
-    every number an engine trace holds."""
+    Numbers are written through DECIMAL, which holds every number an engine
+    trace does; a hand-built trace with any other number (negative, above
+    MAX_VERTICES, or a None step) is written with str() throughout."""
+    try:
+        return _trace_text(trace, _DECIMAL_OF)
+    except (KeyError, TypeError):  # TypeError: a number that does not hash
+        return _trace_text(trace, _AnyNumber())
+
+
+def _trace_text(trace: CompletionTrace, text) -> str:
     p = trace.params
-    text = DECIMAL
     lines = [f"magic M={trace.magic} params {p.delta} {p.k1} {p.k2} {p.c0} {p.c1}"]
     finals = []
     for step, (u, v), value, witness, family in trace.records:

@@ -213,10 +213,6 @@ def _label_pairs(delta: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.product(range(1, delta + 1), repeat=2))
 
 
-# Below this many vertices the triangle scan reads the label matrix only:
-# building the label masks costs more than the mask scans save (the two
-# break even at 10-12 vertices on members of the II-A, II-B and III tuples).
-_MASKS_FROM = 12
 # counts that send every pair to the lookup scan
 _LOOKUP_ONLY = (MAX_VERTICES,) * (MAX_DELTA + 1)
 
@@ -231,9 +227,6 @@ class _ScanTables(NamedTuple):
     # bad[a][b] has bit c set when (a, b, c) is forbidden; entry 0 stands
     # for a missing side and is never forbidden
     bad: tuple[tuple[int, ...], ...]
-    # the vertex count from which a scan builds label masks: below low + 3,
-    # low the smallest positive count, no pair needs them
-    masks_from: int
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +241,7 @@ def _scan_tables(p: ParameterTuple) -> _ScanTables:
     bad = tuple(tuple(sum(1 << c for c in labels if a and b and not cube[a][b][c])
                       for b in range(p.delta + 1))
                 for a in range(p.delta + 1))
-    low = min((k for k in counts if k), default=MAX_VERTICES)
-    return _ScanTables(forbidden, counts, bad, max(low + 3, _MASKS_FROM))
+    return _ScanTables(forbidden, counts, bad)
 
 
 def _forbidden_in(tables: _ScanTables, rows, mat, pairs,
@@ -272,7 +264,7 @@ def _forbidden_in(tables: _ScanTables, rows, mat, pairs,
     - otherwise the set bits above v of rows[b][u] & rows[c][v], ORed over
       the forbidden (b, c) for a.
     """
-    forbidden, counts, bad, _ = tables
+    forbidden, counts, bad = tables
     if rows is None:
         counts = _LOOKUP_ONLY
     last = len(mat) - 1
@@ -301,13 +293,12 @@ def _forbidden_in(tables: _ScanTables, rows, mat, pairs,
 
 
 def _scan_views(p: ParameterTuple, g: LabelledGraph):
-    """_forbidden_in's tables, label masks and label matrix for g; the
-    label masks only from masks_from vertices on."""
+    """_forbidden_in's tables and label matrix for g, and no label masks: a
+    library scan tests every third vertex by lookup.  Only the engine, which
+    keeps its masks anyway, picks the cheaper way per pair."""
     if g.delta != p.delta:
         raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
-    tables = _scan_tables(p)
-    rows = label_masks(g) if g.n >= tables.masks_from else None
-    return tables, rows, label_matrix(g)
+    return _scan_tables(p), None, label_matrix(g)
 
 
 def scan_forbidden(p: ParameterTuple, g: LabelledGraph):

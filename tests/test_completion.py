@@ -194,6 +194,23 @@ def test_serialize_trace_matches_the_two_pass_reference():
         assert serialize_trace(trace) == _two_pass_serialize_trace(trace)
 
 
+def test_serialize_trace_writes_numbers_outside_the_table_with_str():
+    # a hand-built trace may hold numbers no engine trace does: a negative
+    # index must not read the table's other end, and a number above it must
+    # not raise
+    header = (P5, 3)
+    for record in [TraceRecord(1, (0, 2), 4, -1, "plus"),
+                   TraceRecord(-7, (0, 1), 2, 1, "minus"),
+                   TraceRecord(None, (-1, 3), 3, None, "final-M"),
+                   TraceRecord(2, (0, 1500), 2, 1, "cbound"),
+                   TraceRecord(None, (0, 1), -1001, 2, "plus"),
+                   TraceRecord(3, (0, 1), 2, 10 ** 20, "minus")]:
+        trace = CompletionTrace(*header, (TraceRecord(1, (0, 1), 2, 3, "plus"), record))
+        assert serialize_trace(trace) == _two_pass_serialize_trace(trace)
+    assert "witness -1 via plus" in serialize_trace(
+        CompletionTrace(*header, (TraceRecord(1, (0, 2), 4, -1, "plus"),)))
+
+
 def test_completed_graph_is_built_in_pair_order():
     # the completed graph's dict is read off the engine's matrix in pair
     # order, so its items are already sorted and every later sort keeps them
