@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,6 +127,7 @@ def _pmap(fn, items, jobs: int) -> list:
         raise InputError(f"jobs must be between 1 and {limit} (the CPU count), got {jobs}")
     if jobs == 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool run loads it
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(items) // (jobs * 8))
         return list(pool.map(fn, items, chunksize=chunk))

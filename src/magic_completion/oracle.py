@@ -22,7 +22,7 @@ from .errors import InputError, ResourceLimitError
 from .obstacles import _pmap, extract_obstacle, validate_obstacle_hom
 from .params import (CASE_III, ParameterTuple, classify_admissible,
                      eligible_magic)
-from .space import (LabelledCycle, LabelledGraph, allowed_cube, automorphisms,
+from .space import (LabelledCycle, LabelledGraph, allowed_masks, automorphisms,
                     canonical_cycle, cycle_to_graph, fork_graph,
                     is_automorphism, is_member, label_matrix, scan_forbidden,
                     serialize_graph)
@@ -80,21 +80,9 @@ def format_report(report: PropertyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None)
-def _allowed_values(p: ParameterTuple) -> tuple[tuple[int, ...], ...]:
-    """masks[a][b] has bit d set when d may close a triangle whose other two
-    sides are a and b; a missing side (label 0) allows every d in 1..delta."""
-    cube = allowed_cube(p)
-    every = (1 << (p.delta + 1)) - 2
-    return tuple(tuple(sum(1 << d for d in range(1, p.delta + 1) if cube[d][a][b])
-                       if a and b else every
-                       for b in range(p.delta + 1))
-                 for a in range(p.delta + 1))
-
-
 def _constraints(p: ParameterTuple, g: LabelledGraph, missing: list[tuple[int, int]]):
     """(static, singles, doubles): per missing pair, what limits its values
-    once the earlier missing pairs are filled; masks is _allowed_values(p).
+    once the earlier missing pairs are filled; masks is allowed_masks(p).
 
     static[i] is the mask of values that the given edges allow for the i-th
     pair.  singles[i] lists (j, col) for each triangle whose other sides are
@@ -104,7 +92,7 @@ def _constraints(p: ParameterTuple, g: LabelledGraph, missing: list[tuple[int, i
     masks the i-th pair.  Triangles through a later missing pair constrain
     nothing yet and are left out.
     """
-    masks = _allowed_values(p)
+    masks = allowed_masks(p)
     mat = label_matrix(g)
     # index[u][w]: the position of the pair (u, w) in `missing`, if it is there
     index = [[len(missing)] * g.n for _ in range(g.n)]
@@ -161,7 +149,7 @@ def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
         if leaf is not None:
             leaf(assignment)
         return 1, counts
-    masks = _allowed_values(p)
+    masks = allowed_masks(p)
     static, singles, doubles = _constraints(p, g, missing)
     wanted = sum(1 << d for d in values)
     deepest = len(missing) - 1
@@ -317,11 +305,11 @@ def _provenance_details(p: ParameterTuple, magic: int, g: LabelledGraph,
                         completed: LabelledGraph) -> list[str]:
     """Magic-labelled pairs in forbidden or perimeter-capped triangles of the
     completed graph must already be input edges."""
-    cube = allowed_cube(p)
+    masks = allowed_masks(p)
     details = []
     for u, v, w in itertools.combinations(range(completed.n), 3):
         a, b, c = completed.get(u, v), completed.get(u, w), completed.get(v, w)
-        if cube[a][b][c] and a + b + c < p.c:
+        if masks[a][b] >> c & 1 and a + b + c < p.c:
             continue
         for x, y, d in ((u, v, a), (u, w, b), (v, w, c)):
             if d == magic and g.get(x, y) is None:
@@ -481,7 +469,7 @@ def _extend_member(p: ParameterTuple, magic: int, rng: random.Random,
     the already-built part allowed; if the greedy draw dead-ends, the whole
     vertex falls back to the magic distance, which always works.
     """
-    masks = _allowed_values(p)
+    masks = allowed_masks(p)
     values = range(1, p.delta + 1)
     mat = label_matrix(LabelledGraph(size, p.delta, base.edges()))
     for v in range(base.n, size):

@@ -14,9 +14,9 @@ from functools import lru_cache
 
 from .errors import InputError, InvariantViolation, ResourceLimitError
 
-# Largest delta of a catalogue or a graph.  Tables indexed by labels grow
-# with delta (allowed_cube has delta^3 entries) and the catalogue with
-# delta^4 tuples; at 32, `params list` takes ~5 s and `complete` ~0.5 s.
+# Largest delta of a catalogue or a graph.  Label tables grow with delta (up
+# to delta^3 forbidden label pairs), the catalogue with delta^4 tuples; at 32,
+# `params list` takes ~2.5 s and `complete` ~0.14 s on a 2-core x86-64 box.
 # A larger delta is refused with ResourceLimitError.
 MAX_DELTA = 32
 

@@ -134,6 +134,12 @@ class TriangleVerdict:
         return not self.violated
 
 
+def _check_labels(p: ParameterTuple, labels) -> None:
+    for x in labels:
+        if not isinstance(x, int) or not 1 <= x <= p.delta:
+            raise InputError(f"distance {x!r} out of range 1..{p.delta}")
+
+
 def classify_triangle(p: ParameterTuple, a: int, b: int, c: int) -> TriangleVerdict:
     """Every bound the distance triple (a, b, c) violates, in any vertex order.
 
@@ -142,9 +148,7 @@ def classify_triangle(p: ParameterTuple, a: int, b: int, c: int) -> TriangleVerd
     remaining bounds are reported whenever their inequality fires, so a triple
     can violate several at once.
     """
-    for x in (a, b, c):
-        if not isinstance(x, int) or not 1 <= x <= p.delta:
-            raise InputError(f"distance {x!r} out of range 1..{p.delta}")
+    _check_labels(p, (a, b, c))
     per = a + b + c
     mn = min(a, b, c)
     mx = max(a, b, c)
@@ -164,19 +168,30 @@ def classify_triangle(p: ParameterTuple, a: int, b: int, c: int) -> TriangleVerd
 
 
 @lru_cache(maxsize=None)
-def allowed_cube(p: ParameterTuple):
-    """cube[a][b][c] is True when the triangle (a, b, c) is allowed.  1-based."""
-    d = p.delta
-    cube = [[[False] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+def allowed_masks(p: ParameterTuple) -> tuple[tuple[int, ...], ...]:
+    """masks[a][b] has bit c set when the triangle (a, b, c) is allowed, 1-based; a
+    missing side (label 0) allows every c.  classify_triangle's bounds in closed form:
+    for a <= b the metric c run from b - a to a + b, and min(a, b, c) is min(a, c)."""
+    d, k1, k2, c0, c1 = p.key()
+    every = (1 << (d + 1)) - 2
+    masks = [[every] * (d + 1) for _ in range(d + 1)]
     for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            for c in range(1, d + 1):
-                cube[a][b][c] = classify_triangle(p, a, b, c).allowed
-    return cube
+        for b in range(a, d + 1):
+            mask = 0
+            for c in range(max(b - a, 1), min(a + b, d) + 1):
+                per = a + b + c
+                if per % 2 == 0:  # C0 caps an even perimeter
+                    mask |= (per < c0) << c
+                elif 2 * k1 < per < c1 and per < 2 * k2 + 2 * min(a, c):  # K1, C1, K2
+                    mask |= 1 << c
+            masks[a][b] = masks[b][a] = mask
+    return tuple(map(tuple, masks))
 
 
 def triangle_allowed(p: ParameterTuple, a: int, b: int, c: int) -> bool:
-    return allowed_cube(p)[a][b][c]
+    """One bit of allowed_masks; InputError for a label outside 1..delta."""
+    _check_labels(p, (a, b, c))
+    return bool(allowed_masks(p)[a][b] >> c & 1)
 
 
 def is_member(p: ParameterTuple, g: LabelledGraph) -> bool:
@@ -231,17 +246,14 @@ class _ScanTables(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _scan_tables(p: ParameterTuple) -> _ScanTables:
-    """The scan tables of the tuple p."""
-    cube = allowed_cube(p)
-    labels = range(1, p.delta + 1)
+    """The scan tables of the tuple p, read off allowed_masks(p)."""
+    masks = allowed_masks(p)
+    bad = tuple(tuple(masks[0][0] & ~m if a and b else 0 for b, m in enumerate(row))
+                for a, row in enumerate(masks))
     forbidden = ((),) + tuple(tuple(pair for pair in _label_pairs(p.delta)
-                                    if not cube[a][pair[0]][pair[1]])
-                              for a in labels)
-    counts = tuple(map(len, forbidden))
-    bad = tuple(tuple(sum(1 << c for c in labels if a and b and not cube[a][b][c])
-                      for b in range(p.delta + 1))
-                for a in range(p.delta + 1))
-    return _ScanTables(forbidden, counts, bad)
+                                    if bad_a[pair[0]] >> pair[1] & 1)
+                              for bad_a in bad[1:])
+    return _ScanTables(forbidden, tuple(map(len, forbidden)), bad)
 
 
 def _forbidden_in(tables: _ScanTables, rows, mat, pairs,

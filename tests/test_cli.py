@@ -410,3 +410,12 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout == _golden("catalogue_delta3.txt")
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only --jobs > 1 starts a pool, so a serial run never imports its modules
+    code = ("import sys, magic_completion.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -20,10 +20,18 @@ from magic_completion import oracle
 from magic_completion.oracle import (PROPERTY_ORDER, _value_counts,
                                      scope_instances)
 from magic_completion.params import eligible_magic, enumerate_admissible
-from magic_completion.space import allowed_cube, label_matrix
+from magic_completion.space import classify_triangle, label_matrix
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 P3 = ParameterTuple(3, 1, 3, 10, 11)
+
+
+def _cube(p):
+    """cube[a][b][c] is classify_triangle's verdict on (a, b, c), 1-based: the
+    reference loops read it, not the oracle's own tables."""
+    labels = range(p.delta + 1)
+    return [[[bool(a and b and c) and classify_triangle(p, a, b, c).allowed
+              for c in labels] for b in labels] for a in labels]
 
 
 def _check(p, magic, g):
@@ -98,7 +106,7 @@ def test_value_counts_are_completion_columns(n):
 def test_search_matches_every_assignment(p):
     # the search prunes on the per-pair constraint lists; the reference
     # tries every assignment of the missing pairs and checks all triangles
-    cube = allowed_cube(p)
+    cube = _cube(p)
     magic = min(eligible_magic(p))
     for g in scope_instances(p, magic, RandomScope(40, seed=7))[-40:]:
         pairs = g.missing_pairs()
@@ -123,7 +131,7 @@ def test_value_counts_on_a_delta_32_fork():
     # one missing pair on a fork; three on a path, where the tally counts
     # the last pair's 33-bit value masks
     p = ParameterTuple(32, 1, 32, 98, 97)
-    cube = allowed_cube(p)
+    cube = _cube(p)
     for a, b in ((1, 1), (1, 32), (5, 20), (32, 32)):
         allowed = [0] + [int(cube[a][b][d]) for d in range(1, 33)]
         assert _value_counts(p, fork_graph(a, b, 32)) == (sum(allowed), [allowed])
@@ -259,8 +267,8 @@ def test_shortest_path_completion_only_for_symmetric_inputs(monkeypatch):
 
 def _reference_extend_member(p, magic, rng, base, size):
     # the draw as first written: every candidate value is tested against
-    # every earlier vertex with allowed_cube
-    cube = allowed_cube(p)
+    # every earlier vertex with classify_triangle's verdicts
+    cube = _cube(p)
     mat = label_matrix(LabelledGraph(size, p.delta, base.edges()))
     for v in range(base.n, size):
         for u in range(v):

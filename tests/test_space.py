@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -14,8 +15,10 @@ from magic_completion import (GraphParseError, InputError, LabelledCycle,
                               serialize_cycle, serialize_graph, triangle_allowed)
 from magic_completion.oracle import _extend_member
 from magic_completion.params import MAX_DELTA
-from magic_completion.space import (MAX_VERTICES, _forbidden_in, _scan_tables,
-                                    label_masks, label_matrix, scan_forbidden)
+from magic_completion import space
+from magic_completion.space import (MAX_VERTICES, _forbidden_in, _label_pairs,
+                                    _scan_tables, allowed_masks, label_masks,
+                                    label_matrix, scan_forbidden)
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 
@@ -56,6 +59,78 @@ def test_forbidden_triples_match_example():
         (1, 1, 1), (1, 1, 3), (1, 1, 4), (1, 1, 5), (1, 2, 2), (1, 2, 4),
         (1, 2, 5), (1, 3, 5), (1, 4, 4), (1, 5, 5), (2, 2, 5), (2, 4, 5),
         (3, 5, 5), (4, 4, 5), (5, 5, 5)]
+
+
+@pytest.mark.parametrize("labels", [(-2, 3, 3), (4, 1, 1), (0, 2, 2), (2, 0, 2), (1, 2, 4),
+                                    (1.0, 1, 1), (None, 1, 1)])
+def test_triangle_allowed_refuses_labels_outside_the_range(labels):
+    # the same error as classify_triangle, not a read off the table's ends
+    p = ParameterTuple(3, 1, 2, 10, 9)
+    with pytest.raises(InputError) as expected:
+        classify_triangle(p, *labels)
+    with pytest.raises(InputError) as info:
+        triangle_allowed(p, *labels)
+    assert str(info.value) == str(expected.value)
+
+
+@functools.cache
+def _exactness_tuples():
+    # every acceptable tuple of delta 3..7, and three seeded ones each of delta 16 and 32
+    rng = random.Random(11)
+    tuples = [p for delta in range(3, 8) for p in enumerate_acceptable(delta)]
+    for delta in (16, 32):
+        tuples += rng.sample(enumerate_acceptable(delta), 3)
+    return tuples
+
+
+def test_allowed_masks_match_classify_triangle():
+    for p in _exactness_tuples():
+        masks = allowed_masks(p)
+        labels = range(1, p.delta + 1)
+        every = sum(1 << c for c in labels)
+        assert len(masks) == p.delta + 1 and masks[0] == (every,) * (p.delta + 1)
+        for a in labels:
+            row = masks[a]
+            assert len(row) == p.delta + 1 and row[0] == every
+            for b in labels:
+                mask = row[b]
+                assert mask == sum(1 << c for c in labels
+                                   if classify_triangle(p, a, b, c).allowed), (p, a, b)
+                assert triangle_allowed(p, a, b, 1) == bool(mask >> 1 & 1)
+
+
+def test_scan_tables_match_classify_triangle():
+    for p in _exactness_tuples():
+        labels = range(1, p.delta + 1)
+        bans = {(a, b, c) for a, b, c in itertools.product(labels, repeat=3)
+                if not classify_triangle(p, a, b, c).allowed}
+        forbidden = ((),) + tuple(
+            tuple((b, c) for b, c in itertools.product(labels, repeat=2) if (a, b, c) in bans)
+            for a in labels)
+        bad = tuple(tuple(sum(1 << c for c in labels if (a, b, c) in bans)
+                          for b in range(p.delta + 1))
+                    for a in range(p.delta + 1))
+        tables = _scan_tables(p)
+        assert tables.forbidden == forbidden
+        assert tables.counts == tuple(map(len, forbidden))
+        assert tables.bad == bad
+        # the pair objects are shared per delta, not rebuilt per tuple
+        shared = set(map(id, _label_pairs(p.delta)))
+        assert all(id(pair) in shared for pairs in tables.forbidden for pair in pairs)
+
+
+def test_tables_build_without_classify_triangle(monkeypatch):
+    # the tables come from the bounds in closed form, never a call per triple
+    def refuse(*args):
+        raise AssertionError("classify_triangle called while building a table")
+
+    monkeypatch.setattr(space, "classify_triangle", refuse)
+    allowed_masks.cache_clear()
+    _scan_tables.cache_clear()
+    p = ParameterTuple(32, 1, 31, 68, 67)
+    # (1, 1, 1) and (1, 1, 2) are allowed; (1, 1, 3) is not metric
+    assert allowed_masks(p)[1][1] == 0b110
+    assert _scan_tables(p).counts[1] > 0
 
 
 def test_unit_k_classes_forbid_only_nonmetric_triples():
