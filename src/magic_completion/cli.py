@@ -24,7 +24,7 @@ from .params import (ParameterTuple, acceptability_failures,
                      enumerate_admissible, format_catalogue_row,
                      select_magic_parameter)
 from .space import (DECIMAL, cycle_to_graph, fork_graph, parse_cycle,
-                    parse_graph, serialize_graph)
+                    parse_graph, serialize_cycle, serialize_graph)
 
 
 def _params_from(args) -> ParameterTuple:
@@ -118,7 +118,7 @@ def _cmd_complete(args) -> int:
         # this run's own graph and records: extract_obstacle would check and rebuild them
         obstacle = _pull_back(outcome.completed, outcome.trace.by_pair(),
                               outcome.forbidden_triangles[0])
-        print("obstacle " + " ".join(map(str, obstacle.cycle.labels)))
+        print("obstacle " + serialize_cycle(obstacle.cycle))
         print("hom " + " ".join(map(str, obstacle.hom)))
         marks.append(time.perf_counter())
     if args.stats:
@@ -132,10 +132,7 @@ def _forbidden_lines(outcome) -> str:
     its ` = a ` once and then one line per w, over the completed graph's
     labels as text."""
     text = DECIMAL
-    n = outcome.completed.n
-    labels = [[""] * n for _ in range(n)]
-    for (u, v), d in outcome.completed._dist.items():
-        labels[u][v] = labels[v][u] = text[d]
+    labels = [[text[d] for d in row] for row in outcome.completed._mat]
     lines = []
     run_u = run_v = -1
     for u, v, w in outcome.forbidden_triangles:

@@ -27,8 +27,7 @@ from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
 from .params import ParameterTuple, classify_admissible, eligible_magic
-from .space import (DECIMAL, LabelledGraph, _forbidden_in, _scan_tables,
-                    label_masks)
+from .space import DECIMAL, LabelledGraph, _forbidden_in, _scan_tables
 
 FAMILY_PLUS = "plus"
 FAMILY_MINUS = "minus"
@@ -170,24 +169,27 @@ class _Masks:
 
     rows[d][u] has bit w set when the pair (u, w) has distance d; known[u]
     has bit w set when (u, w) has any distance, and always bit u itself.
-    mat[u][v] == mat[v][u] is the distance of (u, v), 0 where it is missing
-    and on the diagonal; present has bit d set when some pair has distance d.
+    mat is a mutable copy of the graph's label matrix, which the completed
+    graph wraps in the end; present has bit d set when some pair has
+    distance d.
     """
 
     def __init__(self, g: LabelledGraph):
         n = self.n = g.n
         rows = self.rows = [[0] * n for _ in range(g.delta + 1)]
         known = self.known = [1 << u for u in range(n)]
-        mat = self.mat = [[0] * n for _ in range(n)]
+        self.mat = list(map(list, g._mat))
         present = 0
-        for (u, v), d in g._dist.items():
-            row = rows[d]
-            row[u] |= 1 << v
-            row[v] |= 1 << u
-            known[u] |= 1 << v
-            known[v] |= 1 << u
-            mat[u][v] = mat[v][u] = d
-            present |= 1 << d
+        for u, line in enumerate(g._mat):
+            for v in range(u + 1, n):
+                d = line[v]
+                if d:
+                    row = rows[d]
+                    row[u] |= 1 << v
+                    row[v] |= 1 << u
+                    known[u] |= 1 << v
+                    known[v] |= 1 << u
+                    present |= 1 << d
         self.present = present
 
     def free(self, u: int) -> int:
@@ -277,8 +279,8 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
     masks = _Masks(g)
     # tuple.__new__ skips the NamedTuple constructor's keyword handling
     new = tuple.__new__
-    records = [new(TraceRecord, (None, pair, d, None, FAMILY_INPUT))
-               for pair, d in sorted(g._dist.items())]
+    records = [new(TraceRecord, (None, (u, v), d, None, FAMILY_INPUT))
+               for u, v, d in g.edges()]
     for step, target in schedule.steps:
         for u, v, w, family in _apply_rule(masks, rules[target], oriented[target]):
             records.append(new(TraceRecord, (step, (u, v), target, w, family)))
@@ -292,11 +294,8 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
             fill[v] |= 1 << u
             mat[u][v] = mat[v][u] = magic
             records.append(new(TraceRecord, (None, (u, v), magic, None, FAMILY_FINAL)))
-    # read off in pair order, so the dict's items are sorted for every later use
-    dist = dict(zip(itertools.combinations(range(g.n), 2), itertools.chain.from_iterable(
-        line[u + 1:] for u, line in enumerate(mat))))
-    completed = LabelledGraph._checked(g.n, g.delta, dist)
-    bad = tuple(_forbidden_in(_scan_tables(p), masks.rows, mat, dist.items()))
+    completed = LabelledGraph._of(g.delta, mat)
+    bad = tuple(_forbidden_in(_scan_tables(p), masks.rows, completed._mat))
     trace = CompletionTrace(p, magic, tuple(records))
     return CompletionOutcome(completed, trace, not bad, bad)
 
@@ -346,7 +345,7 @@ def shortest_path_complete(delta: int, g: LabelledGraph) -> LabelledGraph:
     """
     if g.delta != delta:
         raise InputError(f"graph delta {g.delta} differs from requested delta {delta}")
-    rows = label_masks(g)
+    rows = _Masks(g).rows
     # within[k][u]: the vertices whose shortest path from u is at most k long;
     # a path of length at most k starts with an edge u-w of some label d <= k
     # and continues within k - d of w.
@@ -358,7 +357,7 @@ def shortest_path_complete(delta: int, g: LabelledGraph) -> LabelledGraph:
                 for w in _set_bits(rows[d][u]):
                     layer[u] |= within[k - d][w]
         within.append(layer)
-    dist = {}
+    mat = [[0] * g.n for _ in range(g.n)]
     for u, v in itertools.combinations(range(g.n), 2):
-        dist[(u, v)] = next((k for k in range(1, delta) if within[k][u] >> v & 1), delta)
-    return LabelledGraph._checked(g.n, delta, dist)
+        mat[u][v] = mat[v][u] = next((k for k in range(1, delta) if within[k][u] >> v & 1), delta)
+    return LabelledGraph._of(delta, mat)

@@ -20,7 +20,7 @@ from .completion import (_DERIVED, FAMILY_FINAL, FAMILY_INPUT,
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .params import ParameterTuple
 from .space import (LabelledCycle, LabelledGraph, canonical_cycle,
-                    cycle_to_graph, scan_forbidden)
+                    cycle_to_graph, first_forbidden, serialize_cycle)
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,11 @@ def extract_obstacle(p: ParameterTuple, magic: int, g: LabelledGraph,
     if inputs != g.edges() or len(trace.records) != g.n * (g.n - 1) // 2:
         raise InputError("trace does not belong to the given graph")
     records = trace.by_pair()
-    completed = LabelledGraph._checked(
-        g.n, g.delta, {pair: record.value for pair, record in records.items()})
-    first = next(scan_forbidden(p, completed), None)
+    mat = [[0] * g.n for _ in range(g.n)]
+    for (u, v), record in records.items():
+        mat[u][v] = mat[v][u] = record.value
+    completed = LabelledGraph._of(g.delta, mat)
+    first = first_forbidden(p, completed)
     if first is None:
         raise InputError("the completion run was Completable; there is no obstacle")
     return _pull_back(completed, records, first)
@@ -161,8 +163,7 @@ def serialize_catalogue(p: ParameterTuple, length: int,
                         cycles: frozenset[LabelledCycle]) -> str:
     """Catalogue text: a header line, then one canonical cycle per line, sorted."""
     lines = [f"obstacles {p.delta} {p.k1} {p.k2} {p.c0} {p.c1} length={length}"]
-    lines.extend(" ".join(map(str, labels))
-                 for labels in sorted(c.labels for c in cycles))
+    lines.extend(serialize_cycle(c) for c in sorted(cycles, key=lambda c: c.labels))
     return "\n".join(lines) + "\n"
 
 

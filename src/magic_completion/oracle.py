@@ -23,9 +23,8 @@ from .obstacles import _pmap, extract_obstacle, validate_obstacle_hom
 from .params import (CASE_III, ParameterTuple, classify_admissible,
                      eligible_magic)
 from .space import (LabelledCycle, LabelledGraph, allowed_masks, automorphisms,
-                    canonical_cycle, cycle_to_graph, fork_graph,
-                    is_automorphism, is_member, label_matrix, scan_forbidden,
-                    serialize_graph)
+                    canonical_cycle, cycle_to_graph, first_forbidden, fork_graph,
+                    is_automorphism, is_member, serialize_graph)
 
 # Missing-pair budgets of the completion enumeration and the completability
 # search: the search defaults, and the budgets of every verification sweep.
@@ -93,7 +92,7 @@ def _constraints(p: ParameterTuple, g: LabelledGraph, missing: list[tuple[int, i
     nothing yet and are left out.
     """
     masks = allowed_masks(p)
-    mat = label_matrix(g)
+    mat = g._mat
     # index[u][w]: the position of the pair (u, w) in `missing`, if it is there
     index = [[len(missing)] * g.n for _ in range(g.n)]
     for i, (u, v) in enumerate(missing):
@@ -138,8 +137,8 @@ def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
     """
     missing = g.missing_pairs()
     counts = [[0] * (p.delta + 1) for _ in missing]
-    # scan_forbidden also refuses a graph whose delta is not the tuple's
-    if next(scan_forbidden(p, g), None) is not None:
+    # first_forbidden also refuses a graph whose delta is not the tuple's
+    if first_forbidden(p, g) is not None:
         return 0, counts
     if len(missing) > max_missing:
         raise ResourceLimitError(
@@ -211,13 +210,13 @@ def _completions(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
                  first: bool) -> list[LabelledGraph]:
     """The completions of g as graphs, in search order; only one if `first`."""
     pairs = g.missing_pairs()
-    base = {(u, v): d for u, v, d in g.edges()}
     out: list[LabelledGraph] = []
 
     def leaf(assignment) -> bool:
-        dist = base.copy()
-        dist.update(zip(pairs, assignment))
-        out.append(LabelledGraph._checked(g.n, g.delta, dist))
+        mat = list(map(list, g._mat))
+        for (u, v), d in zip(pairs, assignment):
+            mat[u][v] = mat[v][u] = d
+        out.append(LabelledGraph._of(g.delta, mat))
         return first
 
     _search(p, g, max_missing, values, leaf)
@@ -306,13 +305,14 @@ def _provenance_details(p: ParameterTuple, magic: int, g: LabelledGraph,
     """Magic-labelled pairs in forbidden or perimeter-capped triangles of the
     completed graph must already be input edges."""
     masks = allowed_masks(p)
+    given, mat = g._mat, completed._mat
     details = []
     for u, v, w in itertools.combinations(range(completed.n), 3):
-        a, b, c = completed.get(u, v), completed.get(u, w), completed.get(v, w)
+        a, b, c = mat[u][v], mat[u][w], mat[v][w]
         if masks[a][b] >> c & 1 and a + b + c < p.c:
             continue
         for x, y, d in ((u, v, a), (u, w, b), (v, w, c)):
-            if d == magic and g.get(x, y) is None:
+            if d == magic and not given[x][y]:
                 details.append(
                     f"triangle ({u}, {v}, {w}) uses derived magic edge ({x}, {y})")
     return details
@@ -327,8 +327,9 @@ def _cycle_uncompletable(p: ParameterTuple, labels: tuple[int, ...]) -> bool:
 def _embeddings(a: LabelledGraph, b: LabelledGraph) -> list[tuple[int, ...]]:
     """All label-preserving injections between complete graphs."""
     out = []
+    ma, mb = a._mat, b._mat
     for image in itertools.permutations(range(b.n), a.n):
-        if all(a.get(x, y) == b.get(image[x], image[y]) for x, y in a.pairs()):
+        if all(ma[x][y] == mb[image[x]][image[y]] for x, y in a.pairs()):
             out.append(image)
     return out
 
@@ -377,14 +378,20 @@ def _glue(p: ParameterTuple, a: LabelledGraph, b1: LabelledGraph,
         if y not in mapping:
             mapping[y] = next_id
             next_id += 1
-    edges = list(b1.edges())
+    mat = _padded(b1, next_id)
     shared = set(emb2)
     for x, y, d in b2.edges():
         if x in shared and y in shared:
             continue  # already present via b1, as _check_parts ensures
-        edges.append((mapping[x], mapping[y], d))
-    edges = [(min(u, v), max(u, v), d) for u, v, d in edges]
-    return LabelledGraph(next_id, p.delta, edges)
+        mat[mapping[x]][mapping[y]] = mat[mapping[y]][mapping[x]] = d
+    return LabelledGraph._of(p.delta, mat)
+
+
+def _padded(g: LabelledGraph, size: int) -> list[list[int]]:
+    """g's label matrix as lists, widened to `size` >= g.n vertices whose
+    new pairs are missing."""
+    pad = [0] * (size - g.n)
+    return [list(row) + pad for row in g._mat] + [[0] * size for _ in pad]
 
 
 def _require_members(p: ParameterTuple, *sides: LabelledGraph) -> None:
@@ -471,7 +478,7 @@ def _extend_member(p: ParameterTuple, magic: int, rng: random.Random,
     """
     masks = allowed_masks(p)
     values = range(1, p.delta + 1)
-    mat = label_matrix(LabelledGraph(size, p.delta, base.edges()))
+    mat = _padded(base, size)
     for v in range(base.n, size):
         row = mat[v]
         for u in range(v):
@@ -485,8 +492,7 @@ def _extend_member(p: ParameterTuple, magic: int, rng: random.Random,
                     mat[w][v] = mat[v][w] = magic
                 break
             mat[u][v] = mat[v][u] = rng.choice(options)
-    return LabelledGraph._checked(size, p.delta, {
-        (u, v): mat[u][v] for u, v in itertools.combinations(range(size), 2) if mat[u][v]})
+    return LabelledGraph._of(p.delta, mat)
 
 
 def _random_instance(p: ParameterTuple, magic: int, rng: random.Random,

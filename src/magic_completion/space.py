@@ -30,22 +30,27 @@ _DECIMAL_VALUE = {text: i for i, text in enumerate(DECIMAL)}
 
 
 class LabelledGraph:
-    """A finite graph whose edges carry distances in 1..delta; pairs may be absent."""
+    """A finite graph whose edges carry distances in 1..delta; pairs may be absent.
 
-    __slots__ = ("n", "delta", "_dist")
+    The graph is its label matrix: _mat[u][v] == _mat[v][u] is the distance
+    of the pair (u, v), 0 where it is missing and on the diagonal, held as a
+    tuple of n tuples so that the graph is immutable and hashable.
+    """
+
+    __slots__ = ("n", "delta", "_mat")
 
     def __init__(self, n: int, delta: int, edges=()):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise InputError(f"vertex count must be a non-negative integer, got {n!r}")
-        if not isinstance(delta, int) or delta < 1:
+        if type(delta) is not int or delta < 1:
             raise InputError(f"delta must be a positive integer, got {delta!r}")
         if n > MAX_VERTICES:
             raise ResourceLimitError(f"{n} vertices exceed the budget of {MAX_VERTICES}")
         if delta > MAX_DELTA:
             raise ResourceLimitError(f"delta {delta} exceeds the budget of {MAX_DELTA}")
-        dist: dict[tuple[int, int], int] = {}
+        mat = [[0] * n for _ in range(n)]
         for u, v, d in edges:
-            if not (isinstance(u, int) and isinstance(v, int) and isinstance(d, int)):
+            if not (type(u) is int and type(v) is int and type(d) is int):
                 raise InputError(f"edge ({u!r}, {v!r}, {d!r}) is not an integer triple")
             if u == v:
                 raise InputError(f"loop at vertex {u}")
@@ -53,48 +58,53 @@ class LabelledGraph:
                 raise InputError(f"edge ({u}, {v}) out of range for {n} vertices")
             if not (1 <= d <= delta):
                 raise InputError(f"distance {d} out of range 1..{delta}")
-            key = (u, v) if u < v else (v, u)
-            if key in dist:
-                raise InputError(f"duplicate distance for pair {key}")
-            dist[key] = d
+            if mat[u][v]:
+                raise InputError(f"duplicate distance for pair {(u, v) if u < v else (v, u)}")
+            mat[u][v] = mat[v][u] = d
         self.n = n
         self.delta = delta
-        self._dist = dist
+        self._mat = tuple(map(tuple, mat))
 
     @classmethod
-    def _checked(cls, n: int, delta: int, dist: dict[tuple[int, int], int]) -> "LabelledGraph":
-        """A graph over a pair -> distance dict that its builder already
-        validated: keys (u, v) with 0 <= u < v < n, values in 1..delta."""
+    def _of(cls, delta: int, mat) -> "LabelledGraph":
+        """The graph over a label matrix that its builder already validated:
+        n symmetric rows of n entries in 0..delta, 0 on the diagonal."""
         g = object.__new__(cls)
-        g.n, g.delta, g._dist = n, delta, dist
+        g.n, g.delta, g._mat = len(mat), delta, tuple(map(tuple, mat))
         return g
 
     def get(self, u: int, v: int) -> int | None:
-        """Distance between two distinct vertices, or None when unassigned."""
-        return self._dist.get((u, v) if u < v else (v, u))
+        """Distance between two distinct vertices, or None when unassigned or
+        when either is not a vertex of the graph."""
+        if 0 <= u < self.n and 0 <= v < self.n:
+            return self._mat[u][v] or None
+        return None
 
     def edges(self) -> list[tuple[int, int, int]]:
-        return [(u, v, self._dist[(u, v)]) for u, v in sorted(self._dist)]
+        """(u, v, distance) per labelled pair u < v, in sorted order."""
+        n = self.n
+        return [(u, v, row[v]) for u, row in enumerate(self._mat)
+                for v in range(u + 1, n) if row[v]]
 
     def edge_count(self) -> int:
-        return len(self._dist)
+        return len(self.edges())
 
     def pairs(self):
         return itertools.combinations(range(self.n), 2)
 
     def missing_pairs(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v in self.pairs() if (u, v) not in self._dist]
+        return [(u, v) for u, row in enumerate(self._mat)
+                for v in range(u + 1, self.n) if not row[v]]
 
     def is_complete(self) -> bool:
-        return len(self._dist) == self.n * (self.n - 1) // 2
+        return all(row.count(0) == 1 for row in self._mat)
 
     def __eq__(self, other):
         return (isinstance(other, LabelledGraph)
-                and self.n == other.n and self.delta == other.delta
-                and self._dist == other._dist)
+                and self.delta == other.delta and self._mat == other._mat)
 
     def __hash__(self):
-        return hash((self.n, self.delta, tuple(sorted(self._dist.items()))))
+        return hash((self.delta, self._mat))
 
     def __repr__(self):
         return f"LabelledGraph(n={self.n}, delta={self.delta}, edges={self.edges()})"
@@ -103,11 +113,8 @@ class LabelledGraph:
         return (self.n, self.delta, self.edges())
 
     def __setstate__(self, state):
-        n, delta, edges = state
-        rebuilt = LabelledGraph(n, delta, edges)
-        self.n = rebuilt.n
-        self.delta = rebuilt.delta
-        self._dist = rebuilt._dist
+        rebuilt = LabelledGraph(*state)
+        self.n, self.delta, self._mat = rebuilt.n, rebuilt.delta, rebuilt._mat
 
 
 def fork_graph(a: int, b: int, delta: int) -> LabelledGraph:
@@ -136,7 +143,7 @@ class TriangleVerdict:
 
 def _check_labels(p: ParameterTuple, labels) -> None:
     for x in labels:
-        if not isinstance(x, int) or not 1 <= x <= p.delta:
+        if type(x) is not int or not 1 <= x <= p.delta:
             raise InputError(f"distance {x!r} out of range 1..{p.delta}")
 
 
@@ -196,30 +203,10 @@ def triangle_allowed(p: ParameterTuple, a: int, b: int, c: int) -> bool:
 
 def is_member(p: ParameterTuple, g: LabelledGraph) -> bool:
     """Membership test for complete graphs: no triangle violates any bound."""
-    views = _scan_views(p, g)  # refuses a graph of another delta first
+    found = first_forbidden(p, g)  # refuses a graph of another delta first
     if not g.is_complete():
         raise InputError("membership is only defined for complete graphs")
-    # any forbidden triangle will do, so the pairs need not be sorted
-    return not _forbidden_in(*views, g._dist.items(), first=True)
-
-
-def label_matrix(g: LabelledGraph) -> list[list[int]]:
-    """mat[u][v] is the distance of the pair (u, v); 0 where it is missing
-    and on the diagonal."""
-    mat = [[0] * g.n for _ in range(g.n)]
-    for (u, v), d in g._dist.items():
-        mat[u][v] = mat[v][u] = d
-    return mat
-
-
-def label_masks(g: LabelledGraph) -> list[list[int]]:
-    """rows[d][u] has bit w set when g assigns distance d to the pair (u, w)."""
-    rows = [[0] * g.n for _ in range(g.delta + 1)]
-    for (u, v), d in g._dist.items():
-        row = rows[d]
-        row[u] |= 1 << v
-        row[v] |= 1 << u
-    return rows
+    return found is None
 
 
 @lru_cache(maxsize=None)
@@ -256,15 +243,13 @@ def _scan_tables(p: ParameterTuple) -> _ScanTables:
     return _ScanTables(forbidden, tuple(map(len, forbidden)), bad)
 
 
-def _forbidden_in(tables: _ScanTables, rows, mat, pairs,
+def _forbidden_in(tables: _ScanTables, rows, mat,
                   first: bool = False) -> list[tuple[int, int, int]]:
     """The fully assigned forbidden triples u < v < w in sorted order, of the
-    graph whose label matrix is `mat` (as label_matrix builds it), whose
-    label masks are `rows` (as label_masks builds them, or None) and whose
-    labelled pairs ((u, v), distance), u < v, `pairs` lists in sorted order;
-    `tables` is _scan_tables of the tuple.  With `first`, only the first
-    triple.  The caller sorts: the engine's completed graph comes out of its
-    matrix in pair order already.
+    graph whose label matrix is `mat` (as LabelledGraph holds it) and whose
+    label masks are `rows` (rows[d][u] has bit w set when the pair (u, w) has
+    distance d), or None; `tables` is _scan_tables of the tuple.  With
+    `first`, only the first triple.
 
     Every triangle is found once, from its two smallest vertices u < v, as a
     third vertex w > v.  For a pair labelled a, the scan pays the cheaper of
@@ -282,53 +267,49 @@ def _forbidden_in(tables: _ScanTables, rows, mat, pairs,
     last = len(mat) - 1
     found = []
     append = found.append
-    for (u, v), a in pairs:
-        if last - v <= counts[a]:
-            bad_a, mu, mv = bad[a], mat[u], mat[v]
-            for w in range(v + 1, last + 1):
-                if bad_a[mu[w]] >> mv[w] & 1:
-                    if first:
-                        return [(u, v, w)]
-                    append((u, v, w))
-            continue
-        hits = 0
-        for b, c in forbidden[a]:
-            hits |= rows[b][u] & rows[c][v]
-        hits >>= v + 1
-        if hits and first:
-            return [(u, v, v + (hits & -hits).bit_length())]
-        while hits:
-            low = hits & -hits
-            append((u, v, v + low.bit_length()))
-            hits ^= low
+    for u, mu in enumerate(mat):
+        for v in range(u + 1, last + 1):
+            a = mu[v]
+            if not a:
+                continue
+            if last - v <= counts[a]:
+                bad_a, mv = bad[a], mat[v]
+                for w in range(v + 1, last + 1):
+                    if bad_a[mu[w]] >> mv[w] & 1:
+                        if first:
+                            return [(u, v, w)]
+                        append((u, v, w))
+                continue
+            hits = 0
+            for b, c in forbidden[a]:
+                hits |= rows[b][u] & rows[c][v]
+            hits >>= v + 1
+            if hits and first:
+                return [(u, v, v + (hits & -hits).bit_length())]
+            while hits:
+                low = hits & -hits
+                append((u, v, v + low.bit_length()))
+                hits ^= low
     return found
 
 
-def _scan_views(p: ParameterTuple, g: LabelledGraph):
-    """_forbidden_in's tables and label matrix for g, and no label masks: a
-    library scan tests every third vertex by lookup.  Only the engine, which
-    keeps its masks anyway, picks the cheaper way per pair."""
+def _scan_tables_of(p: ParameterTuple, g: LabelledGraph) -> _ScanTables:
+    """_scan_tables(p), for a graph g of p's delta."""
     if g.delta != p.delta:
         raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
-    return _scan_tables(p), None, label_matrix(g)
+    return _scan_tables(p)
 
 
-def scan_forbidden(p: ParameterTuple, g: LabelledGraph):
-    """Yield the fully assigned forbidden triples u < v < w of g in sorted order.
-
-    The scan stops at the first triangle; only a caller that asks for more
-    pays for the whole scan.
-    """
-    views = *_scan_views(p, g), sorted(g._dist.items())
-    head = _forbidden_in(*views, first=True)
-    yield from head
-    if head:
-        yield from _forbidden_in(*views)[1:]
+def first_forbidden(p: ParameterTuple, g: LabelledGraph) -> tuple[int, int, int] | None:
+    """The first fully assigned forbidden triple u < v < w of g in sorted
+    order, or None; the scan stops there."""
+    found = _forbidden_in(_scan_tables_of(p, g), None, g._mat, first=True)
+    return found[0] if found else None
 
 
 def forbidden_triangles(p: ParameterTuple, g: LabelledGraph) -> list[tuple[int, int, int]]:
     """Sorted vertex triples of g that are fully assigned and forbidden."""
-    return _forbidden_in(*_scan_views(p, g), sorted(g._dist.items()))
+    return _forbidden_in(_scan_tables_of(p, g), None, g._mat)
 
 
 def automorphisms(g: LabelledGraph, max_vertices: int = 9) -> list[tuple[int, ...]]:
@@ -343,7 +324,7 @@ def automorphisms(g: LabelledGraph, max_vertices: int = 9) -> list[tuple[int, ..
         raise ResourceLimitError(
             f"automorphism search on {g.n} vertices exceeds the budget of {max_vertices}")
     n = g.n
-    mat = label_matrix(g)
+    mat = g._mat
     profiles = [sorted(row) for row in mat]
     candidates = [[x for x in range(n) if profiles[x] == profiles[i]] for i in range(n)]
     perm = [0] * n
@@ -381,7 +362,7 @@ class LabelledCycle:
         if len(self.labels) < 3:
             raise InputError("a cycle needs at least three edges")
         for d in self.labels:
-            if not isinstance(d, int) or d < 1:
+            if type(d) is not int or d < 1:
                 raise InputError(f"cycle label {d!r} is not a positive integer")
 
     def __len__(self):
@@ -404,9 +385,7 @@ def cycle_to_graph(c: LabelledCycle, delta: int | None = None) -> LabelledGraph:
     if delta is None:
         delta = max(c.labels)
     n = len(c.labels)
-    edges = [(i, (i + 1) % n, c.labels[i]) for i in range(n)]
-    edges = [(min(u, v), max(u, v), d) for u, v, d in edges]
-    return LabelledGraph(n, delta, edges)
+    return LabelledGraph(n, delta, [(i, (i + 1) % n, c.labels[i]) for i in range(n)])
 
 
 def parse_cycle(text: str) -> LabelledCycle:
@@ -457,7 +436,7 @@ def parse_graph(text: str) -> LabelledGraph:
     else:
         raise GraphParseError(1, "missing 'graph <n> <delta>' header")
     value = _DECIMAL_VALUE.get
-    dist: dict[tuple[int, int], int] = {}
+    mat = [[0] * n for _ in range(n)]
     seen: dict[tuple[int, int], int] = {}  # pair -> line that set it
     for line_no, raw in lines:
         tokens = raw.split()
@@ -484,13 +463,13 @@ def parse_graph(text: str) -> LabelledGraph:
             raise GraphParseError(
                 line_no, f"duplicate distance for pair {key} (first set on line {seen[key]})")
         seen[key] = line_no
-        dist[key] = d
-    return LabelledGraph._checked(n, delta, dist)
+        mat[u][v] = mat[v][u] = d
+    return LabelledGraph._of(delta, mat)
 
 
 def serialize_graph(g: LabelledGraph) -> str:
     """Inverse of parse_graph; edges sorted by vertex pair, one per line."""
     text = DECIMAL
     lines = [f"graph {g.n} {g.delta}"]
-    lines.extend([f"e {text[u]} {text[v]} {text[d]}" for (u, v), d in sorted(g._dist.items())])
+    lines.extend([f"e {text[u]} {text[v]} {text[d]}" for u, v, d in g.edges()])
     return "\n".join(lines) + "\n"

@@ -14,9 +14,28 @@ from magic_completion import (ForkRule, InputError, InvariantViolation,
 from magic_completion import completion
 from magic_completion.completion import (CompletionTrace, _apply_rule, _Masks,
                                          _oriented_forks)
-from magic_completion.space import MAX_VERTICES, label_masks, label_matrix
+from magic_completion.space import MAX_VERTICES
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
+
+
+def _reference_matrix(g):
+    """g's label matrix, built from its edge list."""
+    mat = [[0] * g.n for _ in range(g.n)]
+    for u, v, d in g.edges():
+        mat[u][v] = mat[v][u] = d
+    return mat
+
+
+def _reference_masks(g):
+    """rows[d][u] has bit w set when g gives the pair (u, w) distance d,
+    built from its edge list."""
+    rows = [[0] * g.n for _ in range(g.delta + 1)]
+    for u, v, d in g.edges():
+        rows[d][u] |= 1 << v
+        rows[d][v] |= 1 << u
+    return rows
+
 
 # II-B tuples with delta <= 11
 II_B_KEYS = [(5, 3, 3, 16, 13), (8, 5, 5, 24, 21), (8, 5, 5, 26, 21),
@@ -212,12 +231,15 @@ def test_serialize_trace_writes_numbers_outside_the_table_with_str():
 
 
 def test_completed_graph_is_built_in_pair_order():
-    # the completed graph's dict is read off the engine's matrix in pair
-    # order, so its items are already sorted and every later sort keeps them
+    # the completed graph wraps the engine's matrix: every pair is labelled,
+    # edges() lists them in pair order, and each label is the trace's
     for _, _, outcome in _seeded_runs(12, (0, 1, 4, 17, 40)):
         done = outcome.completed
-        assert done.edges() == [(u, v, d) for (u, v), d in done._dist.items()]
-        assert list(done._dist) == list(itertools.combinations(range(done.n), 2))
+        assert [(u, v) for u, v, _ in done.edges()] == list(
+            itertools.combinations(range(done.n), 2))
+        assert done == LabelledGraph(done.n, done.delta, [
+            (*record.pair, record.value) for record in outcome.trace.records])
+        assert done._mat == tuple(map(tuple, _reference_matrix(done)))
 
 
 def test_trace_records_the_simultaneous_pass():
@@ -284,9 +306,9 @@ def test_the_scan_reads_the_completed_graphs_masks(monkeypatch, key):
     scanned = []
     scan = completion._forbidden_in
 
-    def spy(tables, rows, mat, pairs, first=False):
+    def spy(tables, rows, mat, first=False):
         scanned.append((rows, mat))
-        return scan(tables, rows, mat, pairs, first)
+        return scan(tables, rows, mat, first)
 
     monkeypatch.setattr(completion, "_forbidden_in", spy)
     p = ParameterTuple(*key)
@@ -299,8 +321,8 @@ def test_the_scan_reads_the_completed_graphs_masks(monkeypatch, key):
                 for u, v in itertools.combinations(range(n), 2) if rng.random() < density])
             outcome = magic_complete(p, magic, g)
             rows, mat = scanned.pop()
-            assert rows == label_masks(outcome.completed)
-            assert mat == label_matrix(outcome.completed)
+            assert rows == _reference_masks(outcome.completed)
+            assert list(map(list, mat)) == _reference_matrix(outcome.completed)
     assert not scanned
 
 

@@ -20,7 +20,7 @@ from magic_completion import oracle
 from magic_completion.oracle import (PROPERTY_ORDER, _value_counts,
                                      scope_instances)
 from magic_completion.params import eligible_magic, enumerate_admissible
-from magic_completion.space import classify_triangle, label_matrix
+from magic_completion.space import classify_triangle
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 P3 = ParameterTuple(3, 1, 3, 10, 11)
@@ -269,7 +269,9 @@ def _reference_extend_member(p, magic, rng, base, size):
     # the draw as first written: every candidate value is tested against
     # every earlier vertex with classify_triangle's verdicts
     cube = _cube(p)
-    mat = label_matrix(LabelledGraph(size, p.delta, base.edges()))
+    mat = [[0] * size for _ in range(size)]
+    for u, v, d in base.edges():
+        mat[u][v] = mat[v][u] = d
     for v in range(base.n, size):
         for u in range(v):
             options = [val for val in range(1, p.delta + 1)

@@ -17,10 +17,27 @@ from magic_completion.oracle import _extend_member
 from magic_completion.params import MAX_DELTA
 from magic_completion import space
 from magic_completion.space import (MAX_VERTICES, _forbidden_in, _label_pairs,
-                                    _scan_tables, allowed_masks, label_masks,
-                                    label_matrix, scan_forbidden)
+                                    _scan_tables, allowed_masks, first_forbidden)
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
+
+
+def _reference_matrix(g):
+    """g's label matrix, built from its edge list."""
+    mat = [[0] * g.n for _ in range(g.n)]
+    for u, v, d in g.edges():
+        mat[u][v] = mat[v][u] = d
+    return mat
+
+
+def _reference_masks(g):
+    """rows[d][u] has bit w set when g gives the pair (u, w) distance d,
+    built from its edge list."""
+    rows = [[0] * g.n for _ in range(g.delta + 1)]
+    for u, v, d in g.edges():
+        rows[d][u] |= 1 << v
+        rows[d][v] |= 1 << u
+    return rows
 
 
 def _violations(p, a, b, c):
@@ -166,6 +183,20 @@ def test_graph_validation():
         LabelledGraph(1001, 3)
 
 
+def test_bool_labels_are_refused():
+    # bool is an int subclass; like ParameterTuple, every label check refuses it
+    p = ParameterTuple(3, 1, 2, 10, 9)
+    for build in (lambda: LabelledGraph(2, 3, [(False, True, True)]),
+                  lambda: LabelledGraph(2, 3, [(0, 1, True)]),
+                  lambda: LabelledGraph(True, 3),
+                  lambda: LabelledGraph(2, True),
+                  lambda: classify_triangle(p, True, 1, 1),
+                  lambda: triangle_allowed(p, 1, 1, True),
+                  lambda: LabelledCycle((True, 1, 1))):
+        with pytest.raises(InputError):
+            build()
+
+
 def test_delta_budget():
     assert LabelledGraph(3, MAX_DELTA).delta == MAX_DELTA
     assert parse_graph(f"graph 2 {MAX_DELTA}\ne 0 1 {MAX_DELTA}\n").delta == MAX_DELTA
@@ -219,7 +250,7 @@ def test_forbidden_triangles_match_triple_loop(seed):
                 if None not in (a, b, c) and not triangle_allowed(p, a, b, c):
                     expected.append((u, v, w))
             assert forbidden_triangles(p, g) == expected
-            assert list(scan_forbidden(p, g)) == expected
+            assert first_forbidden(p, g) == (expected[0] if expected else None)
 
 
 @pytest.mark.parametrize("key", CASE_KEYS)
@@ -380,7 +411,7 @@ def test_scan_matches_a_triple_loop_over_classify_triangle(key):
     for n in (0, 1, 2, 3, 4, 7, 12, 80):
         graphs = []
         for density in (0.3, 0.7, 1.0):
-            # shuffled, so that is_member, which skips the sort, sees unsorted pairs
+            # shuffled, so that the constructor gets the pairs out of order
             edges = [(u, v, rng.randint(1, p.delta))
                      for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
             rng.shuffle(edges)
@@ -389,12 +420,12 @@ def test_scan_matches_a_triple_loop_over_classify_triangle(key):
         for g in graphs:
             expected = _reference_scan(p, g)
             assert forbidden_triangles(p, g) == expected
-            assert list(scan_forbidden(p, g)) == expected
-            assert next(scan_forbidden(p, g), None) == (expected[0] if expected else None)
-            mat, pairs = label_matrix(g), sorted(g._dist.items())
-            for rows in (None, label_masks(g)):
-                assert _forbidden_in(tables, rows, mat, pairs) == expected
-                assert _forbidden_in(tables, rows, mat, pairs, first=True) == expected[:1]
+            assert first_forbidden(p, g) == (expected[0] if expected else None)
+            mat = _reference_matrix(g)
+            assert g._mat == tuple(map(tuple, mat))
+            for rows in (None, _reference_masks(g)):
+                assert _forbidden_in(tables, rows, mat) == expected
+                assert _forbidden_in(tables, rows, mat, first=True) == expected[:1]
             if g.is_complete():
                 assert is_member(p, g) == (not expected)
         # members pass; these random complete graphs of 7 or more vertices do not
