@@ -18,7 +18,7 @@ from .obstacles import (CycleFamily, FamilyMatch, Obstacle,
                         family_classify, serialize_catalogue,
                         validate_obstacle_hom)
 from .oracle import (CompletionSet, ExhaustiveScope, Failure, PropertyReport,
-                     RandomScope, amalgamate, brute_force_completable,
+                     RandomScope, brute_force_completable,
                      check_amalgamation, check_instance,
                      enumerate_all_completions, enumerate_members,
                      format_report, run_verification_suite)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .completion import (_DERIVED, FAMILY_FINAL, FAMILY_INPUT, build_schedule,
                          magic_complete, serialize_trace, shortest_path_complete)
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .obstacles import _pull_back, enumerate_uncompletable_cycles, serialize_catalogue
+from .obstacles import _run_obstacle, enumerate_uncompletable_cycles, serialize_catalogue
 from .oracle import (ExhaustiveScope, RandomScope, enumerate_all_completions,
                      format_report, run_verification_suite)
 from .params import (ParameterTuple, acceptability_failures,
@@ -42,8 +42,11 @@ def _format_set(values) -> str:
 
 
 def _read_graph(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_graph(handle.read())
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _cmd_params_list(args) -> int:
@@ -115,9 +118,7 @@ def _cmd_complete(args) -> int:
         print(_forbidden_lines(outcome))
     marks.append(time.perf_counter())
     if args.obstacle and not outcome.completable:
-        # this run's own graph and records: extract_obstacle would check and rebuild them
-        obstacle = _pull_back(outcome.completed, outcome.trace.by_pair(),
-                              outcome.forbidden_triangles[0])
+        obstacle = _run_obstacle(outcome)
         print("obstacle " + serialize_cycle(obstacle.cycle))
         print("hom " + " ".join(map(str, obstacle.hom)))
         marks.append(time.perf_counter())

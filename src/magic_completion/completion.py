@@ -68,13 +68,6 @@ class Schedule:
     magic: int
     steps: tuple[tuple[int, int], ...]  # sorted (step, target) pairs
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.steps)
-
-    @property
-    def last_step(self) -> int:
-        return self.steps[-1][0] if self.steps else -1
-
 
 def time_of(x: int, magic: int, delta: int) -> int:
     """Scheduling time of a non-magic target distance."""

@@ -16,11 +16,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .completion import (_DERIVED, FAMILY_FINAL, FAMILY_INPUT,
-                         CompletionTrace, magic_complete)
+                         CompletionOutcome, CompletionTrace, magic_complete)
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .params import ParameterTuple
 from .space import (LabelledCycle, LabelledGraph, canonical_cycle,
                     cycle_to_graph, first_forbidden, serialize_cycle)
+
+# Budgets of the cycle catalogue: the canonical candidates of one
+# enumerate_uncompletable_cycles call, and the length family_classify takes.
+CANDIDATE_BUDGET = 5_000_000
+CLASSIFY_BUDGET = 24
 
 
 @dataclass(frozen=True)
@@ -55,28 +60,28 @@ def extract_obstacle(p: ParameterTuple, magic: int, g: LabelledGraph,
               for record in trace.records if record.family == FAMILY_INPUT]
     if inputs != g.edges() or len(trace.records) != g.n * (g.n - 1) // 2:
         raise InputError("trace does not belong to the given graph")
-    records = trace.by_pair()
     mat = [[0] * g.n for _ in range(g.n)]
-    for (u, v), record in records.items():
-        mat[u][v] = mat[v][u] = record.value
+    for _, (u, v), value, _, _ in trace.records:
+        mat[u][v] = mat[v][u] = value
     completed = LabelledGraph._of(g.delta, mat)
     first = first_forbidden(p, completed)
     if first is None:
         raise InputError("the completion run was Completable; there is no obstacle")
-    return _pull_back(completed, records, first)
+    # the pull-back reads no forbidden triangle but the first
+    return _run_obstacle(CompletionOutcome(completed, trace, False, (first,)))
 
 
-def _pull_back(completed: LabelledGraph, records: dict, first: tuple[int, int, int]) -> Obstacle:
-    """extract_obstacle after its checks: the backward run from the forbidden
-    triangle `first` of a run, given its completed graph and trace.by_pair()."""
-    u, v, w = first
+def _run_obstacle(outcome: CompletionOutcome) -> Obstacle:
+    """extract_obstacle for an uncompletable run in hand: the backward run
+    from its first forbidden triangle over its own graph and records, with
+    nothing to check or rebuild."""
+    completed, records = outcome.completed, outcome.trace.by_pair()
+    u, v, w = outcome.forbidden_triangles[0]
     hom = [u, v, w]
     labels = [completed.get(u, v), completed.get(v, w), completed.get(w, u)]
     limit = 3 * 2 ** completed.delta
 
-    def record_of(i: int):
-        size = len(hom)
-        a, b = hom[i], hom[(i + 1) % size]
+    def record_of(a: int, b: int):
         record = records[(a, b) if a < b else (b, a)]
         if record.family == FAMILY_FINAL:
             raise InvariantViolation(
@@ -85,15 +90,14 @@ def _pull_back(completed: LabelledGraph, records: dict, first: tuple[int, int, i
         return record
 
     while True:
-        steps = [record_of(i).step for i in range(len(hom))
-                 if record_of(i).family in _DERIVED]
+        cycle = [record_of(a, b) for a, b in zip(hom, hom[1:] + hom[:1])]
+        steps = [record.step for record in cycle if record.family in _DERIVED]
         if not steps:
             break
         stage = max(steps)
         new_hom: list[int] = []
         new_labels: list[int] = []
-        for i in range(len(hom)):
-            record = record_of(i)
+        for i, record in enumerate(cycle):
             new_hom.append(hom[i])
             if record.family in _DERIVED and record.step == stage:
                 witness = record.witness
@@ -145,15 +149,14 @@ def _enumerate_worker(args) -> list[tuple[int, ...]]:
 
 
 def enumerate_uncompletable_cycles(p: ParameterTuple, magic: int, length: int,
-                                   max_candidates: int = 5_000_000,
                                    jobs: int = 1) -> frozenset[LabelledCycle]:
     """All canonical cycles of exactly `length` edges that cannot be completed."""
     if length < 3:
         raise InputError("cycles have at least three edges")
     # delta^length, computed no further than the first power over budget
-    if p.delta ** min(length, max_candidates.bit_length()) > max_candidates:
+    if p.delta ** min(length, CANDIDATE_BUDGET.bit_length()) > CANDIDATE_BUDGET:
         raise ResourceLimitError(
-            f"{p.delta}^{length} candidate cycles exceed the budget of {max_candidates}")
+            f"{p.delta}^{length} candidate cycles exceed the budget of {CANDIDATE_BUDGET}")
     tasks = [(p, magic, length, leading) for leading in range(1, p.delta + 1)]
     chunks = _pmap(_enumerate_worker, tasks, jobs)
     return frozenset(LabelledCycle(labels) for chunk in chunks for labels in chunk)
@@ -189,8 +192,7 @@ class FamilyMatch:
     n: int
 
 
-def family_classify(p: ParameterTuple, cycle: LabelledCycle,
-                    max_length: int = 24) -> list[FamilyMatch]:
+def family_classify(p: ParameterTuple, cycle: LabelledCycle) -> list[FamilyMatch]:
     """Every forbidden-cycle family the label multiset satisfies.
 
     Role assignment ignores the cyclic arrangement: for a fixed number of
@@ -203,9 +205,9 @@ def family_classify(p: ParameterTuple, cycle: LabelledCycle,
     """
     labels = cycle.labels
     size = len(labels)
-    if size > max_length:
+    if size > CLASSIFY_BUDGET:
         raise ResourceLimitError(
-            f"cycle of length {size} exceeds the classification budget of {max_length}")
+            f"cycle of length {size} exceeds the classification budget of {CLASSIFY_BUDGET}")
     perimeter = sum(labels)
     odd = perimeter % 2 == 1
     by_size = sorted(range(size), key=lambda i: (-labels[i], i))

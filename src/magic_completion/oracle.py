@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .completion import magic_complete, shortest_path_complete
 from .errors import InputError, ResourceLimitError
-from .obstacles import _pmap, extract_obstacle, validate_obstacle_hom
+from .obstacles import _pmap, _run_obstacle, validate_obstacle_hom
 from .params import (CASE_III, ParameterTuple, classify_admissible,
                      eligible_magic)
 from .space import (LabelledCycle, LabelledGraph, allowed_masks, automorphisms,
@@ -34,6 +34,9 @@ BRUTE_BUDGET = 18
 # Largest number of instances a verification scope may materialize,
 # exhaustive or random (fork instances included); checked before any is built.
 MAX_SCOPE_INSTANCES = 100_000
+
+# Largest side of an amalgam in both amalgamation sweeps.
+AMALGAM_PART_SIZE = 3
 
 PROPERTY_ORDER = (
     "oracle-equivalence",
@@ -224,17 +227,9 @@ def _completions(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
 
 
 def brute_force_completable(p: ParameterTuple, g: LabelledGraph,
-                            max_missing: int = BRUTE_BUDGET,
-                            value_order: str = "ascending") -> LabelledGraph | None:
-    """First completion in depth-first order, or None.  value_order exists so
-    tests can confirm the verdict does not depend on the search order."""
-    if value_order == "ascending":
-        values = range(1, p.delta + 1)
-    elif value_order == "descending":
-        values = range(p.delta, 0, -1)
-    else:
-        raise InputError(f"unknown value order {value_order!r}")
-    results = _completions(p, g, max_missing, values, first=True)
+                            max_missing: int = BRUTE_BUDGET) -> LabelledGraph | None:
+    """First completion in depth-first order, or None."""
+    results = _completions(p, g, max_missing, range(1, p.delta + 1), first=True)
     return results[0] if results else None
 
 
@@ -399,59 +394,57 @@ def _require_members(p: ParameterTuple, *sides: LabelledGraph) -> None:
         raise InputError("both sides of an amalgam must belong to the class")
 
 
-def amalgamate(p: ParameterTuple, magic: int, a: LabelledGraph,
-               b1: LabelledGraph, b2: LabelledGraph,
-               emb1: tuple[int, ...], emb2: tuple[int, ...]):
-    """Glue b1 and b2 along their copies of a, then run the completion engine.
+def _amalgam_report(p: ParameterTuple, magic: int, amalgams, describe) -> PropertyReport:
+    """The amalgamation report over `amalgams`, which yields the parts
+    (a, b1, b2, emb1, emb2) of each amalgam, as _check_parts accepts them.
+    Each counts as an instance and, when its glued graph is uncompletable, as
+    a failure whose detail is describe(*parts).  Many amalgams glue to the
+    same graph, so the engine runs once per distinct glued graph."""
+    report = PropertyReport("amalgamation", 0)
+    # glued graph -> the engine's completable verdict
+    verdicts: dict[LabelledGraph, bool] = {}
+    for parts in amalgams:
+        glued = _glue(p, *parts)
+        report.instances += 1
+        completable = verdicts.get(glued)
+        if completable is None:
+            completable = verdicts[glued] = magic_complete(p, magic, glued).completable
+        if not completable:
+            report.failures.append(Failure(serialize_graph(glued), describe(*parts)))
+    return report
 
-    For admissible parameters the outcome must always be Completable.
-    """
-    _check_parts(p, a, b1, b2, emb1, emb2)
-    glued = _glue(p, a, b1, b2, emb1, emb2)
-    _require_members(p, b1, b2)
-    return magic_complete(p, magic, glued)
 
-
-def check_amalgamation(p: ParameterTuple, magic: int,
-                       max_part_size: int = 3) -> PropertyReport:
-    """Exhaustive strong-amalgamation sweep over small complete members.
-
-    Every ordered pair of embeddings of one member a into two members counts
-    as an instance and, when its glued graph is uncompletable, as a failure
-    whose detail names a, both sides b1, b2 and both embeddings.  Many pairs
-    glue to the same graph, so the engine runs once per distinct glued graph
-    within one call.
-    """
+def _all_amalgams(p: ParameterTuple):
+    """The parts of check_amalgamation's amalgams, in sweep order."""
     members = {size: enumerate_members(p, size)
-               for size in range(0, max_part_size + 1)}
+               for size in range(0, AMALGAM_PART_SIZE + 1)}
     # every side is one of these members, so each is checked once, not per
     # pair; this also checks that every member is complete, of p's delta
     for size in members:
         _require_members(p, *members[size])
-    report = PropertyReport("amalgamation", 0)
-    # glued graph -> the engine's completable verdict
-    verdicts: dict[LabelledGraph, bool] = {}
-    for a_size in range(0, max_part_size + 1):
+    for a_size in range(0, AMALGAM_PART_SIZE + 1):
         for a in members[a_size]:
             sides = []
-            for b_size in range(a_size, max_part_size + 1):
+            for b_size in range(a_size, AMALGAM_PART_SIZE + 1):
                 for b in members[b_size]:
                     for emb in _embeddings(a, b):
                         _check_embedding(a, "embedding", emb, b)
                         sides.append((b, emb))
             for (b1, e1), (b2, e2) in itertools.product(sides, sides):
-                glued = _glue(p, a, b1, b2, e1, e2)
-                report.instances += 1
-                completable = verdicts.get(glued)
-                if completable is None:
-                    completable = verdicts[glued] = magic_complete(
-                        p, magic, glued).completable
-                if not completable:
-                    report.failures.append(Failure(
-                        serialize_graph(glued),
-                        f"amalgam over a={a.edges()} with b1={b1.edges()} emb1={e1} "
-                        f"b2={b2.edges()} emb2={e2} is uncompletable"))
-    return report
+                yield a, b1, b2, e1, e2
+
+
+def check_amalgamation(p: ParameterTuple, magic: int) -> PropertyReport:
+    """Exhaustive strong-amalgamation sweep over the complete members of at
+    most AMALGAM_PART_SIZE vertices.
+
+    Every ordered pair of embeddings of one member a into two members counts
+    as an instance and, when its glued graph is uncompletable, as a failure
+    whose detail names a, both sides b1, b2 and both embeddings.
+    """
+    return _amalgam_report(p, magic, _all_amalgams(p), lambda a, b1, b2, e1, e2: (
+        f"amalgam over a={a.edges()} with b1={b1.edges()} emb1={e1} "
+        f"b2={b2.edges()} emb2={e2} is uncompletable"))
 
 
 @dataclass(frozen=True)
@@ -496,16 +489,20 @@ def _extend_member(p: ParameterTuple, magic: int, rng: random.Random,
 
 
 def _random_instance(p: ParameterTuple, magic: int, rng: random.Random,
-                     vertices: int) -> LabelledGraph:
+                     empty: LabelledGraph) -> LabelledGraph:
+    """A seeded graph on the vertices of `empty`, which has no edges."""
     if rng.random() < 0.5:
-        edges = []
-        for u, v in itertools.combinations(range(vertices), 2):
+        mat = _padded(empty, empty.n)
+        for u, v in empty.pairs():
             if rng.random() >= 0.25:
-                edges.append((u, v, rng.randint(1, p.delta)))
-        return LabelledGraph(vertices, p.delta, edges)
-    member = _extend_member(p, magic, rng, LabelledGraph(0, p.delta), vertices)
-    kept = [(u, v, d) for u, v, d in member.edges() if rng.random() >= 0.5]
-    return LabelledGraph(vertices, p.delta, kept)
+                mat[u][v] = mat[v][u] = rng.randint(1, p.delta)
+        return LabelledGraph._of(p.delta, mat)
+    member = _extend_member(p, magic, rng, LabelledGraph(0, p.delta), empty.n)
+    mat = _padded(member, empty.n)
+    for u, v, _ in member.edges():
+        if rng.random() < 0.5:
+            mat[u][v] = mat[v][u] = 0
+    return LabelledGraph._of(p.delta, mat)
 
 
 def scope_instances(p: ParameterTuple, magic: int, scope) -> list[LabelledGraph]:
@@ -518,11 +515,14 @@ def scope_instances(p: ParameterTuple, magic: int, scope) -> list[LabelledGraph]
             raise ResourceLimitError(
                 f"{p.delta + 1}^{count} instances on {scope.vertices} vertices exceed "
                 f"the budget of {MAX_SCOPE_INSTANCES}")
-        pairs = list(itertools.combinations(range(scope.vertices), 2))
+        empty = LabelledGraph(scope.vertices, p.delta)
+        pairs = empty.missing_pairs()
         out = []
         for assignment in itertools.product(range(p.delta + 1), repeat=len(pairs)):
-            edges = [(u, v, d) for (u, v), d in zip(pairs, assignment) if d > 0]
-            out.append(LabelledGraph(scope.vertices, p.delta, edges))
+            mat = _padded(empty, empty.n)
+            for (u, v), d in zip(pairs, assignment):
+                mat[u][v] = mat[v][u] = d
+            out.append(LabelledGraph._of(p.delta, mat))
         return out
     if isinstance(scope, RandomScope):
         if scope.count < 0:
@@ -532,10 +532,11 @@ def scope_instances(p: ParameterTuple, magic: int, scope) -> list[LabelledGraph]
             raise ResourceLimitError(
                 f"{forks} fork and {scope.count} random instances exceed the budget "
                 f"of {MAX_SCOPE_INSTANCES}")
+        empty = LabelledGraph(scope.vertices, p.delta)
         out = [fork_graph(a, b, p.delta)
                for a in range(1, p.delta + 1) for b in range(a, p.delta + 1)]
         rng = random.Random(scope.seed)
-        out.extend(_random_instance(p, magic, rng, scope.vertices)
+        out.extend(_random_instance(p, magic, rng, empty)
                    for _ in range(scope.count))
         return out
     raise InputError(f"unknown scope {scope!r}")
@@ -594,7 +595,7 @@ def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
         details = _provenance_details(p, magic, g, outcome.completed)
         findings.append(("m-edge-provenance", True,
                          details[0] if details else None, {}))
-        obstacle = extract_obstacle(p, magic, g, outcome.trace)
+        obstacle = _run_obstacle(outcome)
         if not validate_obstacle_hom(g, obstacle):
             findings.append(("obstacle-extraction", True,
                              f"invalid homomorphism for obstacle {obstacle.cycle.labels}",
@@ -612,24 +613,23 @@ def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
     return text, findings
 
 
-def _random_amalgamation(p: ParameterTuple, magic: int, scope: RandomScope,
-                         max_part_size: int = 3) -> PropertyReport:
+def _drawn_amalgams(p: ParameterTuple, magic: int, scope: RandomScope):
+    """Seeded amalgam parts: up to 250 draws of a member a on at most two
+    vertices and two members that extend it, glued along a itself."""
     rng = random.Random(scope.seed + 1)
-    report = PropertyReport("amalgamation", 0)
     for _ in range(min(scope.count, 250)):
         a = _extend_member(p, magic, rng, LabelledGraph(0, p.delta), rng.randint(0, 2))
-        b1 = _extend_member(p, magic, rng, a, rng.randint(a.n, max_part_size))
-        b2 = _extend_member(p, magic, rng, a, rng.randint(a.n, max_part_size))
+        b1 = _extend_member(p, magic, rng, a, rng.randint(a.n, AMALGAM_PART_SIZE))
+        b2 = _extend_member(p, magic, rng, a, rng.randint(a.n, AMALGAM_PART_SIZE))
         identity = tuple(range(a.n))
         _check_parts(p, a, b1, b2, identity, identity)
-        glued = _glue(p, a, b1, b2, identity, identity)
         _require_members(p, b1, b2)
-        report.instances += 1
-        if not magic_complete(p, magic, glued).completable:
-            report.failures.append(Failure(
-                serialize_graph(glued),
-                f"amalgam over a={a.edges()} is uncompletable"))
-    return report
+        yield a, b1, b2, identity, identity
+
+
+def _random_amalgamation(p: ParameterTuple, magic: int, scope: RandomScope) -> PropertyReport:
+    return _amalgam_report(p, magic, _drawn_amalgams(p, magic, scope),
+                           lambda a, *_: f"amalgam over a={a.edges()} is uncompletable")
 
 
 def _merge_findings(per_instance) -> list[PropertyReport]:

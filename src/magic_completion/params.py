@@ -132,7 +132,7 @@ def classify_admissible(p: ParameterTuple) -> AdmissibilityVerdict:
         return AdmissibilityVerdict(True, tag, ())
     if all(clauses[name] for name in group_iii):
         return AdmissibilityVerdict(True, CASE_III, ())
-    failed = tuple(name for name, ok in clause_evaluations(p) if not ok)
+    failed = tuple(name for name, ok in clauses.items() if not ok)
     return AdmissibilityVerdict(False, CASE_NONE, failed)
 
 

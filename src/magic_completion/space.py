@@ -22,6 +22,9 @@ from .params import MAX_DELTA, ParameterTuple
 # is checked before any edge is read.
 MAX_VERTICES = 1000
 
+# Largest vertex count of an automorphism search, which can visit every permutation.
+AUTOMORPHISM_BUDGET = 9
+
 # str(i) for every vertex, vertex count, label and step number; the text
 # writers index it instead of formatting each number, and parse_graph reads
 # a canonical decimal token back through the reverse dict.
@@ -85,9 +88,6 @@ class LabelledGraph:
         n = self.n
         return [(u, v, row[v]) for u, row in enumerate(self._mat)
                 for v in range(u + 1, n) if row[v]]
-
-    def edge_count(self) -> int:
-        return len(self.edges())
 
     def pairs(self):
         return itertools.combinations(range(self.n), 2)
@@ -312,7 +312,7 @@ def forbidden_triangles(p: ParameterTuple, g: LabelledGraph) -> list[tuple[int, 
     return _forbidden_in(_scan_tables_of(p, g), None, g._mat)
 
 
-def automorphisms(g: LabelledGraph, max_vertices: int = 9) -> list[tuple[int, ...]]:
+def automorphisms(g: LabelledGraph) -> list[tuple[int, ...]]:
     """All label-preserving vertex permutations, in lexicographic order.
 
     Depth-first over partial permutations: vertex i goes to the smallest
@@ -320,9 +320,9 @@ def automorphisms(g: LabelledGraph, max_vertices: int = 9) -> list[tuple[int, ..
     labels towards the images of 0..i-1 equal i's labels towards 0..i-1, so a
     mismatched pair prunes every extension of the prefix.
     """
-    if g.n > max_vertices:
+    if g.n > AUTOMORPHISM_BUDGET:
         raise ResourceLimitError(
-            f"automorphism search on {g.n} vertices exceeds the budget of {max_vertices}")
+            f"automorphism search on {g.n} vertices exceeds the budget of {AUTOMORPHISM_BUDGET}")
     n = g.n
     mat = g._mat
     profiles = [sorted(row) for row in mat]

@@ -271,8 +271,7 @@ def test_criterion_8_family_soundness():
 
 def test_criterion_9_amalgamation():
     start = time.monotonic()
-    report = check_amalgamation(ParameterTuple(3, 1, 2, 10, 9), 2,
-                                max_part_size=3)
+    report = check_amalgamation(ParameterTuple(3, 1, 2, 10, 9), 2)
     elapsed = time.monotonic() - start
     ok = report.passed and report.instances > 1000 and elapsed < 120.0
     _verdict(9, "amalgamation", ok,

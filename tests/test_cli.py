@@ -248,6 +248,20 @@ def test_complete_missing_file(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("complete", "--params", "3", "1", "2", "10", "9"),
+    ("shortest-path", "--delta", "3"),
+])
+def test_graph_file_that_is_not_utf8_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"graph 3 3\ne 0 1 \xff\n")
+    code, out, err = _run(capsys, *command, "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path} is not UTF-8 text: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_complete_rejects_huge_vertex_count(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("graph 3000000000 5\n")

@@ -66,7 +66,7 @@ def test_time_injective_for_small_admissible_tuples():
 
 def test_schedule_for_ii_b_tuple():
     schedule, rules = build_schedule(P5, 3)
-    assert schedule.as_dict() == {0: 5, 1: 1, 2: 4, 3: 2}
+    assert schedule.steps == ((0, 5), (1, 1), (2, 4), (3, 2))
     assert rules[4].minus == frozenset({(1, 5)})
     assert rules[4].plus == frozenset()
     assert rules[2].plus == frozenset({(1, 1)})

@@ -6,6 +6,8 @@ from magic_completion import (CycleFamily, InputError, LabelledCycle,
                               enumerate_uncompletable_cycles, extract_obstacle,
                               family_classify, magic_complete,
                               serialize_catalogue, validate_obstacle_hom)
+from magic_completion.obstacles import _run_obstacle
+from magic_completion.oracle import ExhaustiveScope, scope_instances
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 
@@ -65,6 +67,19 @@ def test_extraction_rejects_a_trace_of_another_graph():
     other = cycle_to_graph(LabelledCycle((1, 5, 5, 5, 1)), 5)
     with pytest.raises(InputError):
         extract_obstacle(P5, 3, g, magic_complete(P5, 3, other).trace)
+
+
+def test_extraction_from_a_trace_equals_the_run_pull_back():
+    # the verify sweep pulls obstacles back from its own runs; extract_obstacle
+    # checks a trace and rebuilds the run from it, and must agree
+    p = ParameterTuple(3, 1, 2, 10, 9)
+    pulled = 0
+    for g in scope_instances(p, 2, ExhaustiveScope(4)):
+        outcome = magic_complete(p, 2, g)
+        if not outcome.completable:
+            assert extract_obstacle(p, 2, g, outcome.trace) == _run_obstacle(outcome)
+            pulled += 1
+    assert pulled == 1331
 
 
 def test_hom_validation_rejects_wrong_labels():

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import itertools
 import random
 import types
@@ -9,8 +10,8 @@ import pytest
 import magic_completion
 from magic_completion import (ExhaustiveScope, Failure, InputError, LabelledCycle,
                               LabelledGraph, ParameterTuple, RandomScope,
-                              ResourceLimitError, amalgamate,
-                              brute_force_completable, check_amalgamation,
+                              ResourceLimitError, brute_force_completable,
+                              check_amalgamation,
                               check_instance, cycle_to_graph,
                               enumerate_all_completions, enumerate_members,
                               fork_graph, format_report, magic_complete,
@@ -58,9 +59,9 @@ def test_forbidden_input_has_no_completion():
 def test_value_order_does_not_change_the_verdict():
     for labels in ((1, 1, 5, 5, 5), (1, 5, 5, 5), (1, 2, 3, 4)):
         g = cycle_to_graph(LabelledCycle(labels), 5)
-        up = brute_force_completable(P5, g, value_order="ascending")
-        down = brute_force_completable(P5, g, value_order="descending")
-        assert (up is None) == (down is None)
+        up = brute_force_completable(P5, g)
+        down = oracle._completions(P5, g, oracle.BRUTE_BUDGET, range(5, 0, -1), first=True)
+        assert (up is None) == (down == [])
 
 
 def test_first_completion_search_stops():
@@ -328,7 +329,11 @@ def test_amalgamation_example():
     a = LabelledGraph(1, 3)
     b1 = LabelledGraph(2, 3, [(0, 1, 1)])
     b2 = LabelledGraph(2, 3, [(0, 1, 3)])
-    outcome = amalgamate(P3, 2, a, b1, b2, (0,), (0,))
+    oracle._check_parts(P3, a, b1, b2, (0,), (0,))
+    oracle._require_members(P3, b1, b2)
+    glued = oracle._glue(P3, a, b1, b2, (0,), (0,))
+    assert glued == LabelledGraph(3, 3, [(0, 1, 1), (0, 2, 3)])
+    outcome = magic_complete(P3, 2, glued)
     assert outcome.completable
     assert outcome.completed.n == 3
     assert outcome.completed.get(0, 1) == 1
@@ -338,20 +343,24 @@ def test_amalgamation_example():
 def test_amalgamate_validates_embeddings():
     a = LabelledGraph(2, 3, [(0, 1, 1)])
     b = LabelledGraph(2, 3, [(0, 1, 2)])
-    with pytest.raises(InputError):
-        amalgamate(P3, 2, a, b, b, (0, 1), (0, 1))
-    with pytest.raises(InputError):
-        amalgamate(P3, 2, a, b, b, (0, 0), (0, 1))
+    with pytest.raises(InputError, match="emb1 does not preserve labels"):
+        oracle._check_parts(P3, a, b, b, (0, 1), (0, 1))
+    with pytest.raises(InputError, match="emb1 is not an injection"):
+        oracle._check_parts(P3, a, b, b, (0, 0), (0, 1))
     partial = LabelledGraph(3, 3, [(0, 1, 1)])
-    with pytest.raises(InputError):
-        amalgamate(P3, 2, a, partial, partial, (0, 1), (0, 1))
+    with pytest.raises(InputError, match="b1 must be a complete graph"):
+        oracle._check_parts(P3, a, partial, partial, (0, 1), (0, 1))
+    with pytest.raises(InputError, match="embedding maps outside its target"):
+        oracle._check_embedding(a, "embedding", (0, 2), b)
 
 
 def test_amalgamate_rejects_non_members():
     bad = cycle_to_graph(LabelledCycle((1, 1, 3)), 3)
     a = LabelledGraph(0, 3)
-    with pytest.raises(InputError):
-        amalgamate(P3, 2, a, bad, bad, (), ())
+    oracle._check_parts(P3, a, bad, bad, (), ())
+    with pytest.raises(InputError, match="must belong to the class"):
+        oracle._require_members(P3, bad, bad)
+    oracle._require_members(P3, a, LabelledGraph(2, 3, [(0, 1, 3)]))
 
 
 def test_members_enumeration():
@@ -369,6 +378,16 @@ def test_exhaustive_scope_size():
     instances = scope_instances(P3, 2, ExhaustiveScope(3))
     assert len(instances) == 4 ** 3
     assert len({i for i in map(repr, instances)}) == 64
+
+
+def test_scopes_refuse_a_vertex_count_out_of_range():
+    # the instances wrap matrices without re-validation, so the vertex count
+    # is checked once per scope, before any instance is drawn
+    for scope in (ExhaustiveScope(-1), RandomScope(0, seed=1, vertices=-1)):
+        with pytest.raises(InputError, match="vertex count must be a non-negative"):
+            scope_instances(P3, 2, scope)
+    with pytest.raises(ResourceLimitError, match="1001 vertices exceed"):
+        scope_instances(P3, 2, RandomScope(1, seed=1, vertices=1001))
 
 
 def test_random_scope_prepends_forks_and_is_deterministic():
@@ -431,14 +450,20 @@ def test_format_report_shape():
 
 
 def test_check_amalgamation_small():
-    report = check_amalgamation(P3, 2, max_part_size=2)
+    report = check_amalgamation(P3, 2)
     assert report.passed
-    assert report.instances > 0
+    assert report.instances == 15518
 
 
-def _recorded_amalgamation(monkeypatch, engine):
-    """check_amalgamation(3,1,2,10,9) under `engine`, with the sides, the
-    embeddings and the glued graph of every ordered amalgam in sweep order."""
+# the exhaustive sweep of criterion 9, and 250 seeded draws on the same tuple
+EXHAUSTIVE_SWEEP = functools.partial(check_amalgamation, ParameterTuple(3, 1, 2, 10, 9), 2)
+RANDOM_SWEEP = functools.partial(oracle._random_amalgamation, ParameterTuple(3, 1, 2, 10, 9),
+                                 2, RandomScope(250, seed=3))
+
+
+def _recorded_amalgamation(monkeypatch, engine, sweep):
+    """sweep() under `engine`, with the sides, the embeddings and the glued
+    graph of every amalgam in sweep order."""
     glued_list = []
 
     def recording_glue(p, a, b1, b2, emb1, emb2):
@@ -450,7 +475,7 @@ def _recorded_amalgamation(monkeypatch, engine):
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_glue", recording_glue)
         patch.setattr(oracle, "magic_complete", engine)
-        return check_amalgamation(ParameterTuple(3, 1, 2, 10, 9), 2), glued_list
+        return sweep(), glued_list
 
 
 def test_check_amalgamation_runs_the_engine_once_per_glued_graph(monkeypatch):
@@ -460,24 +485,30 @@ def test_check_amalgamation_runs_the_engine_once_per_glued_graph(monkeypatch):
         calls.append(g)
         return magic_complete(p, magic, g)
 
-    report, glued = _recorded_amalgamation(monkeypatch, counted)
+    report, glued = _recorded_amalgamation(monkeypatch, counted, EXHAUSTIVE_SWEEP)
     assert (report.instances, report.failures) == (11438, [])
     assert len(calls) == len(set(calls)) == 2545
     assert set(calls) == {g for *_, g in glued}
 
 
+def test_random_amalgamation_runs_the_engine_once_per_glued_graph(monkeypatch):
+    calls = []
+
+    def counted(p, magic, g):
+        calls.append(g)
+        return magic_complete(p, magic, g)
+
+    report, glued = _recorded_amalgamation(monkeypatch, counted, RANDOM_SWEEP)
+    assert (report.instances, report.failures, len(glued)) == (250, [], 250)
+    assert len(calls) == len(set(calls)) == 103
+    assert set(calls) == {g for *_, g in glued}
+    # every draw glues its two sides along the identity on a
+    assert all(e1 == e2 == tuple(range(a.n)) for a, _, _, e1, e2, _ in glued)
+
+
 def test_every_amalgam_of_a_failing_glued_graph_is_reported(monkeypatch):
-    # the glued graph that the most ordered amalgams share; the engine is
-    # made to fail on it alone
-    _, glued = _recorded_amalgamation(monkeypatch, magic_complete)
-    target, times = collections.Counter(g for *_, g in glued).most_common(1)[0]
-    assert times > 1
-
-    def fails_on_target(p, magic, g):
-        outcome = magic_complete(p, magic, g)
-        return dataclasses.replace(outcome, completable=False) if g == target else outcome
-
-    report, _ = _recorded_amalgamation(monkeypatch, fails_on_target)
+    report, glued, target, times = _failing_on_the_most_shared_graph(monkeypatch,
+                                                                     EXHAUSTIVE_SWEEP)
     assert report.instances == 11438
     assert report.failures == [
         Failure(serialize_graph(g),
@@ -486,3 +517,30 @@ def test_every_amalgam_of_a_failing_glued_graph_is_reported(monkeypatch):
         for a, b1, b2, e1, e2, g in glued if g == target]
     # each failing amalgam has its own detail text
     assert len({failure.detail for failure in report.failures}) == len(report.failures) == times
+
+
+def _failing_on_the_most_shared_graph(monkeypatch, sweep):
+    """sweep() and its amalgams, with the engine made to fail on the glued
+    graph that the most amalgams share, and on it alone; then that graph and
+    the number of amalgams that share it."""
+    _, glued = _recorded_amalgamation(monkeypatch, magic_complete, sweep)
+    target, times = collections.Counter(g for *_, g in glued).most_common(1)[0]
+    assert times > 1
+
+    def fails_on_target(p, magic, g):
+        outcome = magic_complete(p, magic, g)
+        return dataclasses.replace(outcome, completable=False) if g == target else outcome
+
+    report, again = _recorded_amalgamation(monkeypatch, fails_on_target, sweep)
+    assert again == glued
+    return report, glued, target, times
+
+
+def test_every_failing_random_draw_is_reported(monkeypatch):
+    report, glued, target, times = _failing_on_the_most_shared_graph(monkeypatch,
+                                                                     RANDOM_SWEEP)
+    assert report.instances == 250
+    assert report.failures == [
+        Failure(serialize_graph(g), f"amalgam over a={a.edges()} is uncompletable")
+        for a, _, _, _, _, g in glued if g == target]
+    assert len(report.failures) == times == 25

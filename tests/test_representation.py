@@ -8,8 +8,9 @@ import random
 
 import pytest
 
-from magic_completion import (LabelledGraph, ParameterTuple, brute_force_completable,
-                              enumerate_all_completions, magic_complete, parse_graph,
+from magic_completion import (ExhaustiveScope, LabelledGraph, ParameterTuple, RandomScope,
+                              brute_force_completable, enumerate_all_completions,
+                              fork_graph, magic_complete, parse_graph,
                               select_magic_parameter, serialize_graph,
                               shortest_path_complete)
 from magic_completion import oracle
@@ -110,3 +111,48 @@ def test_drawn_and_glued_members_round_trip(key, seed, a_size, b1_extra, b2_extr
     expected = b1.edges() + [(u + shift if u >= a_size else u, v + shift, d)
                              for u, v, d in b2.edges() if v >= a_size]
     assert glued == LabelledGraph(b1.n + b2.n - a_size, p.delta, expected)
+
+
+def _reference_random_scope(p, magic, scope):
+    """RandomScope's instances built through the validating constructor from
+    edge lists, with the same random draws in the same order."""
+    out = [fork_graph(a, b, p.delta) for a in range(1, p.delta + 1) for b in range(a, p.delta + 1)]
+    rng = random.Random(scope.seed)
+    n = scope.vertices
+    for _ in range(scope.count):
+        if rng.random() < 0.5:
+            edges = [(u, v, rng.randint(1, p.delta))
+                     for u, v in itertools.combinations(range(n), 2) if rng.random() >= 0.25]
+        else:
+            member = oracle._extend_member(p, magic, rng, LabelledGraph(0, p.delta), n)
+            edges = [edge for edge in member.edges() if rng.random() >= 0.5]
+        out.append(LabelledGraph(n, p.delta, edges))
+    return out
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from(KEYS), st.integers(0, 2 ** 32), st.integers(0, 7),
+                  st.integers(0, 4))
+def test_scope_instances_round_trip(key, seed, vertices, count):
+    p = ParameterTuple(*key)
+    magic = select_magic_parameter(p).selected
+    scope = RandomScope(count, seed, vertices)
+    drawn = oracle.scope_instances(p, magic, scope)
+    assert drawn == _reference_random_scope(p, magic, scope)
+    for g in drawn:
+        _check_representation(g)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_exhaustive_scope_instances_round_trip(key):
+    p = ParameterTuple(*key)
+    magic = select_magic_parameter(p).selected
+    for n in range(4):
+        pairs = list(itertools.combinations(range(n), 2))
+        reference = [
+            LabelledGraph(n, p.delta, [(u, v, d) for (u, v), d in zip(pairs, labels) if d])
+            for labels in itertools.product(range(p.delta + 1), repeat=len(pairs))]
+        instances = oracle.scope_instances(p, magic, ExhaustiveScope(n))
+        assert instances == reference
+        for g in instances:
+            _check_representation(g)

@@ -163,7 +163,7 @@ def test_graph_construction_and_lookup():
     assert g.get(0, 1) == 2
     assert g.get(1, 0) == 2
     assert g.get(0, 2) is None
-    assert g.edge_count() == 2
+    assert len(g.edges()) == 2
     assert g.missing_pairs() == [(0, 2), (0, 3), (1, 2), (1, 3)]
     assert not g.is_complete()
 
@@ -308,8 +308,6 @@ def test_automorphisms_match_all_permutations():
         assert expected[0] == tuple(range(n))
     with pytest.raises(ResourceLimitError):
         automorphisms(LabelledGraph(10, 3))
-    with pytest.raises(ResourceLimitError):
-        automorphisms(LabelledGraph(4, 3), max_vertices=3)
 
 
 def test_canonical_cycle():
