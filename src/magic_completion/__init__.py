@@ -8,9 +8,9 @@ failures, and brute-force verification of the engine's guarantees.
 
 from types import ModuleType as _ModuleType
 
-from .completion import (CompletionOutcome, CompletionTrace, ForkRule,
-                         Schedule, TraceRecord, build_schedule, magic_complete,
-                         serialize_trace, shortest_path_complete, time_of)
+from .completion import (CompletionOutcome, CompletionTrace, TraceRecord,
+                         magic_complete, serialize_trace,
+                         shortest_path_complete, time_of)
 from .errors import (GraphParseError, InputError, InvariantViolation,
                      ResourceLimitError)
 from .obstacles import (CycleFamily, FamilyMatch, Obstacle,

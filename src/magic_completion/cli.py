@@ -13,7 +13,7 @@ import sys
 import time
 from functools import lru_cache
 
-from .completion import (_DERIVED, FAMILY_FINAL, FAMILY_INPUT, build_schedule,
+from .completion import (_DERIVED, FAMILY_FINAL, FAMILY_INPUT, _steps,
                          magic_complete, serialize_trace, shortest_path_complete)
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .obstacles import _run_obstacle, enumerate_uncompletable_cycles, serialize_catalogue
@@ -152,7 +152,7 @@ def _complete_stats(outcome, marks) -> str:
     by_step = collections.Counter((record.step, record.family) for record in trace.records)
     by_family = collections.Counter(record.family for record in trace.records)
     lines = [f"step={step} target={target}" + "".join(f" {f}={by_step[step, f]}" for f in _DERIVED)
-             for step, target in build_schedule(trace.params, trace.magic)[0].steps]
+             for step, target, _ in _steps(trace.params, trace.magic)]
     lines.append("".join(f"{f}={by_family[f]} " for f in (FAMILY_INPUT, *_DERIVED, FAMILY_FINAL))
                  + f"forbidden={len(outcome.forbidden_triangles)}")
     lines.append(" ".join(f"{stage}_s={end - start:.6f}" for stage, start, end

@@ -37,38 +37,6 @@ FAMILY_INPUT = "input"
 _DERIVED = (FAMILY_PLUS, FAMILY_MINUS, FAMILY_CBOUND)
 
 
-@dataclass(frozen=True)
-class ForkRule:
-    """Forks that force one target distance, split by family."""
-
-    target: int
-    plus: frozenset[tuple[int, int]]
-    minus: frozenset[tuple[int, int]]
-    cbound: frozenset[tuple[int, int]]
-
-    @property
-    def forks(self) -> frozenset[tuple[int, int]]:
-        return self.plus | self.minus | self.cbound
-
-    def family_of(self, a: int, b: int) -> str | None:
-        pair = (a, b) if a <= b else (b, a)
-        if pair in self.plus:
-            return FAMILY_PLUS
-        if pair in self.minus:
-            return FAMILY_MINUS
-        if pair in self.cbound:
-            return FAMILY_CBOUND
-        return None
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Assignment of step numbers to target distances (gaps are skipped)."""
-
-    magic: int
-    steps: tuple[tuple[int, int], ...]  # sorted (step, target) pairs
-
-
 def time_of(x: int, magic: int, delta: int) -> int:
     """Scheduling time of a non-magic target distance."""
     if x == magic or not 1 <= x <= delta:
@@ -77,46 +45,34 @@ def time_of(x: int, magic: int, delta: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _schedule_cached(p: ParameterTuple, magic: int):
-    """Schedule, fork rules and oriented forks per target; an ineligible
-    magic value raises, and raising calls are not cached."""
+def _steps(p: ParameterTuple,
+           magic: int) -> tuple[tuple[int, int, dict[tuple[int, int], str]], ...]:
+    """The rule passes for an admissible tuple and an eligible magic value:
+    (step, target, forks) in step order, the step being the target's time.
+    forks maps each fork (a, b) of the target, in both orientations, to its
+    family; (a, b) matches a path u-w-v with d(u, w) = a and d(w, v) = b.
+    No fork is both a sum and a cap fork: that needs x = C - 1 - x, and
+    x < M <= (C - delta - 1) / 2.
+    An ineligible magic value raises, and raising calls are not cached."""
     if magic not in eligible_magic(p):
         raise InputError(f"{magic} is not an eligible magic distance for {p.key()}")
     delta, c = p.delta, p.c
-    rules: dict[int, ForkRule] = {}
-    times: dict[int, int] = {}
-    for x in range(1, delta + 1):
+    labels = range(1, delta + 1)
+    steps = []
+    for x in labels:
         if x == magic:
             continue
-        plus = frozenset()
-        minus = frozenset()
-        cbound = frozenset()
         if x < magic:
-            plus = frozenset((a, x - a) for a in range(1, delta + 1)
-                             if a <= x - a <= delta)
-            cbound = frozenset((a, c - 1 - x - a) for a in range(1, delta + 1)
-                               if a <= c - 1 - x - a <= delta)
+            forks = [((a, total - a), family) for total, family
+                     in ((x, FAMILY_PLUS), (c - 1 - x, FAMILY_CBOUND))
+                     for a in labels if 1 <= total - a <= delta]
         else:
-            minus = frozenset((a, a + x) for a in range(1, delta + 1 - x))
-        rules[x] = ForkRule(x, plus, minus, cbound)
-        times[x] = time_of(x, magic, delta)
-    if len(set(times.values())) != len(times):
+            forks = [(fork, FAMILY_MINUS) for a in range(1, delta + 1 - x)
+                     for fork in ((a, a + x), (a + x, a))]
+        steps.append((time_of(x, magic, delta), x, dict(sorted(forks))))
+    if len({step for step, _, _ in steps}) != len(steps):
         raise InvariantViolation(f"time collision in schedule for {p.key()} M={magic}")
-    steps = tuple(sorted((t, x) for x, t in times.items()))
-    oriented = {x: _oriented_forks(rule) for x, rule in rules.items()}
-    return Schedule(magic, steps), rules, oriented
-
-
-def _oriented_forks(rule: ForkRule) -> tuple[tuple[int, int], ...]:
-    """Each fork of the rule in both orientations: (a, b) matches a path
-    u-w-v with d(u, w) = a and d(w, v) = b."""
-    return tuple(sorted({(a, b) for fork in rule.forks for a, b in (fork, fork[::-1])}))
-
-
-def build_schedule(p: ParameterTuple, magic: int) -> tuple[Schedule, dict[int, ForkRule]]:
-    """Schedule and fork rules for an admissible tuple and an eligible magic value."""
-    schedule, rules, _ = _schedule_cached(p, magic)
-    return schedule, dict(rules)
+    return tuple(sorted(steps, key=lambda entry: entry[0]))
 
 
 class TraceRecord(NamedTuple):
@@ -218,9 +174,10 @@ class _Masks:
         self.present |= 1 << d
 
 
-def _apply_rule(masks: _Masks, rule: ForkRule, forks) -> list[tuple[int, int, int, str]]:
-    """One simultaneous pass of a rule (`forks` oriented both ways) over the
-    masks, which are updated in place.
+def _apply_rule(masks: _Masks, target: int, forks) -> list[tuple[int, int, int, str]]:
+    """One simultaneous pass of the rule for `target` over the masks, which
+    are updated in place; `forks` maps each fork, oriented both ways, to its
+    family.
 
     Returns (u, v, witness, family) per assignment; the witness is the
     smallest vertex closing a fork.  A fork with a label that no pair carries
@@ -237,10 +194,9 @@ def _apply_rule(masks: _Masks, rule: ForkRule, forks) -> list[tuple[int, int, in
     found = []
     for u, v, hits in masks.witnesses(live):
         w = (hits & -hits).bit_length() - 1
-        found.append((u, v, w, rule.family_of(mat[u][w], mat[v][w])))
+        found.append((u, v, w, forks[mat[u][w], mat[v][w]]))
     if not found:
         return found
-    target = rule.target
     for u, v, _, _ in found:
         masks.assign(u, v, target)
     # A pair still free had no witness before the pass, so a witness it has
@@ -268,14 +224,15 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
         raise InputError(f"tuple {p.key()} is not admissible")
     if g.delta != p.delta:
         raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
-    schedule, rules, oriented = _schedule_cached(p, magic)
+    if type(magic) is not int:  # 3.0 == 3 would find the int's cached steps
+        raise InputError(f"{magic} is not an eligible magic distance for {p.key()}")
     masks = _Masks(g)
     # tuple.__new__ skips the NamedTuple constructor's keyword handling
     new = tuple.__new__
     records = [new(TraceRecord, (None, (u, v), d, None, FAMILY_INPUT))
                for u, v, d in g.edges()]
-    for step, target in schedule.steps:
-        for u, v, w, family in _apply_rule(masks, rules[target], oriented[target]):
+    for step, target, forks in _steps(p, magic):
+        for u, v, w, family in _apply_rule(masks, target, forks):
             records.append(new(TraceRecord, (step, (u, v), target, w, family)))
     # final fill: one OR per vertex; known[v] would only gain bits free() ignores
     fill, known, mat = masks.rows[magic], masks.known, masks.mat

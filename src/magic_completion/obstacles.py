@@ -122,15 +122,19 @@ def _canonical_candidates(delta: int, length: int, leading: int):
             yield cycle
 
 
-def _pmap(fn, items, jobs: int) -> list:
-    """fn over items in input order, in `jobs` worker processes when jobs > 1.
-
-    jobs must lie between 1 and the CPU count; this is checked before any
-    process starts.
-    """
+def _require_jobs(jobs: int) -> None:
+    """Refuse a worker count outside 1..the CPU count."""
     limit = os.cpu_count() or 1
     if not 1 <= jobs <= limit:
         raise InputError(f"jobs must be between 1 and {limit} (the CPU count), got {jobs}")
+
+
+def _pmap(fn, items, jobs: int) -> list:
+    """fn over items in input order, in `jobs` worker processes when jobs > 1.
+
+    jobs is checked by _require_jobs before any process starts.
+    """
+    _require_jobs(jobs)
     if jobs == 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor  # only a pool run loads it

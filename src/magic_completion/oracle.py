@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .completion import magic_complete, shortest_path_complete
 from .errors import InputError, ResourceLimitError
-from .obstacles import _pmap, _run_obstacle, validate_obstacle_hom
+from .obstacles import _pmap, _require_jobs, _run_obstacle, validate_obstacle_hom
 from .params import (CASE_III, ParameterTuple, classify_admissible,
                      eligible_magic)
 from .space import (LabelledCycle, LabelledGraph, allowed_masks, automorphisms,
@@ -123,12 +123,12 @@ def _constraints(p: ParameterTuple, g: LabelledGraph, missing: list[tuple[int, i
     return static, singles, doubles
 
 
-def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
+def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int,
             leaf=None) -> tuple[int, list[list[int]]]:
     """Depth-first search over the completions of g.
 
     The pairs of g.missing_pairs() are filled in that order, each with the
-    entries of `values` (in their order) that keep every triangle through the
+    values 1..delta, in increasing order, that keep every triangle through the
     pair allowed.  If given, leaf(assignment) runs at every completion, with
     the values in missing-pair order, and the search stops when it returns
     True.  Returns (completions, counts): the number of completions visited,
@@ -153,6 +153,7 @@ def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
         return 1, counts
     masks = allowed_masks(p)
     static, singles, doubles = _constraints(p, g, missing)
+    values = range(1, p.delta + 1)
     wanted = sum(1 << d for d in values)
     deepest = len(missing) - 1
     tally = leaf is None
@@ -209,7 +210,7 @@ def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
     return total, counts
 
 
-def _completions(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
+def _completions(p: ParameterTuple, g: LabelledGraph, max_missing: int,
                  first: bool) -> list[LabelledGraph]:
     """The completions of g as graphs, in search order; only one if `first`."""
     pairs = g.missing_pairs()
@@ -222,21 +223,21 @@ def _completions(p: ParameterTuple, g: LabelledGraph, max_missing: int, values,
         out.append(LabelledGraph._of(g.delta, mat))
         return first
 
-    _search(p, g, max_missing, values, leaf)
+    _search(p, g, max_missing, leaf)
     return out
 
 
 def brute_force_completable(p: ParameterTuple, g: LabelledGraph,
                             max_missing: int = BRUTE_BUDGET) -> LabelledGraph | None:
     """First completion in depth-first order, or None."""
-    results = _completions(p, g, max_missing, range(1, p.delta + 1), first=True)
+    results = _completions(p, g, max_missing, first=True)
     return results[0] if results else None
 
 
 def enumerate_all_completions(p: ParameterTuple, g: LabelledGraph,
                               max_missing: int = ENUM_BUDGET) -> CompletionSet:
     """Every completion, ordered lexicographically by the assignment vector."""
-    results = _completions(p, g, max_missing, range(1, p.delta + 1), first=False)
+    results = _completions(p, g, max_missing, first=False)
     return CompletionSet(g, tuple(results))
 
 
@@ -245,7 +246,7 @@ def _value_counts(p: ParameterTuple, g: LabelledGraph) -> tuple[int, list[list[i
     counts of enumerate_all_completions without building a graph per
     completion.  The total is exact for a complete g too, which has no
     columns."""
-    return _search(p, g, ENUM_BUDGET, range(1, p.delta + 1))
+    return _search(p, g, ENUM_BUDGET)
 
 
 def enumerate_members(p: ParameterTuple, size: int) -> list[LabelledGraph]:
@@ -666,8 +667,9 @@ def run_verification_suite(p: ParameterTuple, magic: int, scope,
     Results are deterministic for a given scope (random scopes are seeded).
     Budget overruns within a sub-check are counted under a "skipped" stat.
     """
-    if magic not in eligible_magic(p):
+    if type(magic) is not int or magic not in eligible_magic(p):
         raise InputError(f"{magic} is not an eligible magic distance for {p.key()}")
+    _require_jobs(jobs)  # before the scope, which can take seconds to build
     instances = scope_instances(p, magic, scope)
     worker = functools.partial(_instance_findings, p, magic)
     reports = _merge_findings(_pmap(worker, instances, jobs))

@@ -171,14 +171,14 @@ def eligible_magic(p: ParameterTuple) -> frozenset[int]:
 def select_magic_parameter(p: ParameterTuple, override: int | None = None) -> MagicChoice:
     """Pick the magic parameter: the smallest eligible value, or a caller override.
 
-    An override outside the eligible set is an input error.
+    An override outside the eligible set, or not an int, is an input error.
     """
     full = magic_distances(p)
     eligible = eligible_magic(p)
     if override is None:
         selected = min(eligible)
     else:
-        if override not in eligible:
+        if type(override) is not int or override not in eligible:
             raise InputError(
                 f"magic override {override} not in eligible set "
                 f"{{{', '.join(map(str, sorted(eligible)))}}} for {p.key()}")

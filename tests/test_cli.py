@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from magic_completion import (LabelledGraph, ParameterTuple, build_schedule,
-                              extract_obstacle, magic_complete,
-                              select_magic_parameter, serialize_graph,
-                              triangle_allowed)
+from magic_completion import (LabelledGraph, ParameterTuple, extract_obstacle,
+                              magic_complete, select_magic_parameter,
+                              serialize_graph, triangle_allowed)
 from magic_completion.cli import main
+from magic_completion.completion import _steps
 
 DATA = Path(__file__).parent / "data"
 
@@ -224,8 +224,8 @@ def test_complete_stats_go_to_stderr(capsys, tmp_path, graph):
     *steps, totals, times = fields
     printed = [line.split() for line in out.splitlines()]
     # one line per scheduled step; its counts add up to the trace's step lines
-    assert [(int(f["step"]), int(f["target"])) for f in steps] == list(
-        build_schedule(ParameterTuple(5, 3, 3, 16, 13), 3)[0].steps)
+    assert [(int(f["step"]), int(f["target"])) for f in steps] == [
+        (step, target) for step, target, _ in _steps(ParameterTuple(5, 3, 3, 16, 13), 3)]
     for f in steps:
         for family in ("plus", "minus", "cbound"):
             assert int(f[family]) == sum(

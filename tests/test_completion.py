@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from magic_completion import (ForkRule, InputError, InvariantViolation,
+from magic_completion import (InputError, InvariantViolation,
                               LabelledCycle, LabelledGraph, ParameterTuple,
-                              TraceRecord, build_schedule, cycle_to_graph,
+                              RandomScope, TraceRecord, cycle_to_graph,
                               eligible_magic, enumerate_admissible,
                               forbidden_triangles, fork_graph, magic_complete,
-                              select_magic_parameter, serialize_trace,
-                              shortest_path_complete, time_of)
-from magic_completion import completion
+                              run_verification_suite, select_magic_parameter,
+                              serialize_trace, shortest_path_complete, time_of)
+from magic_completion import completion, oracle
 from magic_completion.completion import (CompletionTrace, _apply_rule, _Masks,
-                                         _oriented_forks)
+                                         _steps)
 from magic_completion.space import MAX_VERTICES
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
@@ -64,15 +64,18 @@ def test_time_injective_for_small_admissible_tuples():
                 assert len(set(times)) == len(times)
 
 
+def _forks_by_target(p, magic):
+    return {target: forks for _, target, forks in _steps(p, magic)}
+
+
 def test_schedule_for_ii_b_tuple():
-    schedule, rules = build_schedule(P5, 3)
-    assert schedule.steps == ((0, 5), (1, 1), (2, 4), (3, 2))
-    assert rules[4].minus == frozenset({(1, 5)})
-    assert rules[4].plus == frozenset()
-    assert rules[2].plus == frozenset({(1, 1)})
-    assert rules[2].cbound == frozenset({(5, 5)})
-    assert rules[1].forks == frozenset()
-    assert rules[5].forks == frozenset()
+    assert [(step, target) for step, target, _ in _steps(P5, 3)] == \
+        [(0, 5), (1, 1), (2, 4), (3, 2)]
+    forks = _forks_by_target(P5, 3)
+    assert forks[4] == {(1, 5): "minus", (5, 1): "minus"}
+    assert forks[2] == {(1, 1): "plus", (5, 5): "cbound"}
+    assert forks[1] == {}
+    assert forks[5] == {}
 
 
 def test_ii_b_low_rule_keeps_the_extreme_fork():
@@ -81,21 +84,39 @@ def test_ii_b_low_rule_keeps_the_extreme_fork():
     for key in II_B_KEYS:
         p = ParameterTuple(*key)
         magic = min(eligible_magic(p))
-        _, rules = build_schedule(p, magic)
-        assert rules[magic - 1].cbound == frozenset({(p.delta, p.delta)})
+        low = _forks_by_target(p, magic)[magic - 1]
+        assert [fork for fork, family in low.items() if family == "cbound"] == \
+            [(p.delta, p.delta)]
 
 
 def test_schedule_rejects_non_eligible_magic():
     with pytest.raises(InputError):
-        build_schedule(ParameterTuple(3, 1, 2, 10, 9), 3)
+        _steps(ParameterTuple(3, 1, 2, 10, 9), 3)
 
 
 def test_fork_rule_family_lookup():
-    _, rules = build_schedule(P5, 3)
-    assert rules[2].family_of(1, 1) == "plus"
-    assert rules[2].family_of(5, 5) == "cbound"
-    assert rules[2].family_of(1, 5) is None
-    assert rules[4].family_of(5, 1) == "minus"
+    forks = _forks_by_target(P5, 3)
+    assert forks[2][1, 1] == "plus"
+    assert forks[2][5, 5] == "cbound"
+    assert (1, 5) not in forks[2]
+    assert forks[4][5, 1] == "minus"
+
+
+def test_non_int_magic_is_refused_with_a_cold_and_a_warm_cache(monkeypatch):
+    # 3.0 == 3 and both hash alike, so the float would find the int's
+    # cached steps: each entry tests the type itself, the sweep before it
+    # builds its scope
+    monkeypatch.setattr(oracle, "scope_instances", lambda *args: pytest.fail("scope built"))
+    g = fork_graph(1, 5, 5)
+    _steps.cache_clear()
+    for _ in ("cold", "warm"):
+        with pytest.raises(InputError):
+            magic_complete(P5, 3.0, g)
+        with pytest.raises(InputError):
+            select_magic_parameter(P5, 3.0)
+        with pytest.raises(InputError):
+            run_verification_suite(P5, 3.0, RandomScope(1, seed=0))
+        assert magic_complete(P5, 3, g).completed.get(0, 2) == 4
 
 
 def test_single_fork_completions():
@@ -329,32 +350,44 @@ def test_the_scan_reads_the_completed_graphs_masks(monkeypatch, key):
 def test_cascade_within_one_pass_is_refused():
     # (0, 2) gets 2 through the fork 1-2 at vertex 1, which then closes the
     # same fork for (2, 3) at vertex 0: one simultaneous pass would not do
-    rule = ForkRule(2, plus=frozenset({(1, 2)}), minus=frozenset(), cbound=frozenset())
+    forks = {(1, 2): "plus", (2, 1): "plus"}
     masks = _Masks(LabelledGraph(4, 3, [(0, 1, 1), (1, 2, 2), (0, 3, 1)]))
     with pytest.raises(InvariantViolation, match=r"cascade within one pass: pair \(2, 3\)"):
-        _apply_rule(masks, rule, _oriented_forks(rule))
+        _apply_rule(masks, 2, forks)
 
 
 def test_cascade_onto_a_target_absent_before_the_pass_is_refused():
     # label 2 is nowhere in the input, so only the (1, 1) fork is live in the
     # pass; (0, 2) and (1, 3) get 2, which closes the (1, 2) fork for (2, 3)
-    rule = ForkRule(2, plus=frozenset({(1, 1), (1, 2)}), minus=frozenset(),
-                    cbound=frozenset())
+    forks = {(1, 1): "plus", (1, 2): "plus", (2, 1): "plus"}
     masks = _Masks(LabelledGraph(4, 3, [(0, 1, 1), (1, 2, 1), (0, 3, 1)]))
     with pytest.raises(InvariantViolation, match=r"cascade within one pass: pair \(2, 3\)"):
-        _apply_rule(masks, rule, _oriented_forks(rule))
+        _apply_rule(masks, 2, forks)
+
+
+def _reference_family(p, magic, x, a, b):
+    """The family of a path labelled a, b that forces distance x, from the
+    three rules, or None."""
+    if x < magic and a + b == x:
+        return "plus"
+    if x < magic and a + b == p.c - 1 - x:
+        return "cbound"
+    if x > magic and abs(a - b) == x:
+        return "minus"
+    return None
 
 
 def _reference_complete(p, magic, g):
     """The staged completion on a pair -> distance dict: every pass tries
     every fork of its rule for every free pair and re-scans all of them
     after its assignments.  Returns the records and the forbidden triangles."""
-    schedule, rules = build_schedule(p, magic)
+    schedule = sorted((time_of(x, magic, p.delta), x)
+                      for x in range(1, p.delta + 1) if x != magic)
     dist = {(u, v): d for u, v, d in g.edges()}
     records = [(None, pair, d, None, "input") for pair, d in dist.items()]
     pairs = list(itertools.combinations(range(g.n), 2))
 
-    def witnesses(rule):
+    def witnesses(target):
         out = []
         for u, v in pairs:
             if (u, v) in dist:
@@ -362,17 +395,18 @@ def _reference_complete(p, magic, g):
             for w in range(g.n):
                 a = dist.get((min(u, w), max(u, w)))
                 b = dist.get((min(v, w), max(v, w)))
-                if a and b and rule.family_of(a, b):
-                    out.append((u, v, w, rule.family_of(a, b)))
+                family = a and b and _reference_family(p, magic, target, a, b)
+                if family:
+                    out.append((u, v, w, family))
                     break
         return out
 
-    for step, target in schedule.steps:
-        found = witnesses(rules[target])
+    for step, target in schedule:
+        found = witnesses(target)
         for u, v, w, family in found:
             dist[(u, v)] = target
             records.append((step, (u, v), target, w, family))
-        if witnesses(rules[target]):
+        if witnesses(target):
             raise InvariantViolation("cascade")
     for pair in pairs:
         if pair not in dist:

@@ -56,18 +56,10 @@ def test_forbidden_input_has_no_completion():
     assert enumerate_all_completions(P5, g).completions == ()
 
 
-def test_value_order_does_not_change_the_verdict():
-    for labels in ((1, 1, 5, 5, 5), (1, 5, 5, 5), (1, 2, 3, 4)):
-        g = cycle_to_graph(LabelledCycle(labels), 5)
-        up = brute_force_completable(P5, g)
-        down = oracle._completions(P5, g, oracle.BRUTE_BUDGET, range(5, 0, -1), first=True)
-        assert (up is None) == (down == [])
-
-
 def test_first_completion_search_stops():
     # a leaf action that returns True ends the whole search, at every depth
     leaves = []
-    total, _ = oracle._search(P5, LabelledGraph(4, 5), 6, range(1, 6),
+    total, _ = oracle._search(P5, LabelledGraph(4, 5), 6,
                               lambda assignment: leaves.append(list(assignment)) or True)
     assert (total, leaves) == (1, [[1, 1, 1, 2, 2, 2]])
 
@@ -440,6 +432,12 @@ def test_suite_parallel_matches_serial():
 def test_suite_rejects_bad_magic():
     with pytest.raises(InputError):
         run_verification_suite(P5, 2, ExhaustiveScope(3))
+
+
+def test_suite_refuses_jobs_before_building_the_scope(monkeypatch):
+    monkeypatch.setattr(oracle, "scope_instances", lambda *args: pytest.fail("scope built"))
+    with pytest.raises(InputError, match="jobs must be between 1 and"):
+        run_verification_suite(P3, 2, RandomScope(99990, seed=0), jobs=0)
 
 
 def test_format_report_shape():
