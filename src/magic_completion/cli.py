@@ -16,7 +16,7 @@ from functools import lru_cache
 from .completion import (_DERIVED, FAMILY_FINAL, FAMILY_INPUT, _steps,
                          magic_complete, serialize_trace, shortest_path_complete)
 from .errors import InputError, InvariantViolation, ResourceLimitError
-from .obstacles import _run_obstacle, enumerate_uncompletable_cycles, serialize_catalogue
+from .obstacles import _pull_back, enumerate_uncompletable_cycles, serialize_catalogue
 from .oracle import (ExhaustiveScope, RandomScope, enumerate_all_completions,
                      format_report, run_verification_suite)
 from .params import (ParameterTuple, acceptability_failures,
@@ -30,11 +30,6 @@ from .space import (DECIMAL, cycle_to_graph, fork_graph, parse_cycle,
 def _params_from(args) -> ParameterTuple:
     delta, k1, k2, c0, c1 = args.params
     return ParameterTuple(delta, k1, k2, c0, c1)
-
-
-def _require_admissible(p: ParameterTuple) -> None:
-    if not classify_admissible(p).admissible:
-        raise InputError(f"tuple {p.key()} is not admissible")
 
 
 def _format_set(values) -> str:
@@ -80,7 +75,6 @@ def _cmd_params_check(args) -> int:
 
 def _cmd_forks(args) -> int:
     p = _params_from(args)
-    _require_admissible(p)
     choice = select_magic_parameter(p, args.magic)
     print(f"forks {p.delta} {p.k1} {p.k2} {p.c0} {p.c1} magic={choice.selected}")
     for a in range(1, p.delta + 1):
@@ -95,7 +89,6 @@ def _cmd_forks(args) -> int:
 
 def _cmd_complete(args) -> int:
     p = _params_from(args)
-    _require_admissible(p)
     choice = select_magic_parameter(p, args.magic)
     marks = [time.perf_counter()]  # then the end of each stage, for --stats
     if args.file is not None:
@@ -118,7 +111,7 @@ def _cmd_complete(args) -> int:
         print(_forbidden_lines(outcome))
     marks.append(time.perf_counter())
     if args.obstacle and not outcome.completable:
-        obstacle = _run_obstacle(outcome)
+        obstacle = _pull_back(outcome.trace, outcome.forbidden_triangles[0])
         print("obstacle " + serialize_cycle(obstacle.cycle))
         print("hom " + " ".join(map(str, obstacle.hom)))
         marks.append(time.perf_counter())
@@ -176,7 +169,6 @@ def _cmd_shortest_path(args) -> int:
 
 def _cmd_obstacles_enumerate(args) -> int:
     p = _params_from(args)
-    _require_admissible(p)
     choice = select_magic_parameter(p, args.magic)
     cycles = enumerate_uncompletable_cycles(p, choice.selected, args.length,
                                             jobs=args.jobs)
@@ -186,7 +178,6 @@ def _cmd_obstacles_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     p = _params_from(args)
-    _require_admissible(p)
     choice = select_magic_parameter(p, args.magic)
     if args.exhaustive is not None:
         scope = ExhaustiveScope(args.exhaustive)

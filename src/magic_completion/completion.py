@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
-from .params import ParameterTuple, classify_admissible, eligible_magic
+from .params import ParameterTuple, eligible_magic
 from .space import DECIMAL, LabelledGraph, _forbidden_in, _scan_tables
 
 FAMILY_PLUS = "plus"
@@ -44,7 +44,7 @@ def time_of(x: int, magic: int, delta: int) -> int:
     return 2 * x - 1 if x < magic else 2 * (delta - x)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _steps(p: ParameterTuple,
            magic: int) -> tuple[tuple[int, int, dict[tuple[int, int], str]], ...]:
     """The rule passes for an admissible tuple and an eligible magic value:
@@ -53,8 +53,10 @@ def _steps(p: ParameterTuple,
     family; (a, b) matches a path u-w-v with d(u, w) = a and d(w, v) = b.
     No fork is both a sum and a cap fork: that needs x = C - 1 - x, and
     x < M <= (C - delta - 1) / 2.
-    An ineligible magic value raises, and raising calls are not cached."""
-    if magic not in eligible_magic(p):
+    This is the one gate for a (tuple, magic) pair: an inadmissible tuple,
+    then an ineligible or non-int magic value, raises, and raising calls are
+    not cached.  typed=True keeps 3.0 from finding the steps of 3."""
+    if magic not in eligible_magic(p) or type(magic) is not int:
         raise InputError(f"{magic} is not an eligible magic distance for {p.key()}")
     delta, c = p.delta, p.c
     labels = range(1, delta + 1)
@@ -216,22 +218,19 @@ def _apply_rule(masks: _Masks, target: int, forks) -> list[tuple[int, int, int, 
 def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> CompletionOutcome:
     """Run the staged completion and certify the result.
 
-    Only admissible tuples are accepted; the certificate Completable /
-    Uncompletable is only meaningful for them.
+    Only admissible tuples and their eligible magic values are accepted,
+    which _steps checks; the certificate Completable / Uncompletable is only
+    meaningful for them.
     """
-    verdict = classify_admissible(p)
-    if not verdict.admissible:
-        raise InputError(f"tuple {p.key()} is not admissible")
+    steps = _steps(p, magic)
     if g.delta != p.delta:
         raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
-    if type(magic) is not int:  # 3.0 == 3 would find the int's cached steps
-        raise InputError(f"{magic} is not an eligible magic distance for {p.key()}")
     masks = _Masks(g)
     # tuple.__new__ skips the NamedTuple constructor's keyword handling
     new = tuple.__new__
     records = [new(TraceRecord, (None, (u, v), d, None, FAMILY_INPUT))
                for u, v, d in g.edges()]
-    for step, target, forks in _steps(p, magic):
+    for step, target, forks in steps:
         for u, v, w, family in _apply_rule(masks, target, forks):
             records.append(new(TraceRecord, (step, (u, v), target, w, family)))
     # final fill: one OR per vertex; known[v] would only gain bits free() ignores

@@ -2,7 +2,7 @@
 
 When the engine certifies Uncompletable, the forbidden triangle it found can
 be pulled back through the trace: every derived edge is replaced by the two
-witness edges that forced it, stage by stage, until only input edges remain.
+witness edges that forced it, edge by edge, until only input edges remain.
 The result is a cycle that maps homomorphically into the input and is itself
 uncompletable.  The module also enumerates all uncompletable cycles of a
 given length and matches cycles against the known forbidden-cycle families.
@@ -15,8 +15,8 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 
-from .completion import (_DERIVED, FAMILY_FINAL, FAMILY_INPUT,
-                         CompletionOutcome, CompletionTrace, magic_complete)
+from .completion import (_DERIVED, FAMILY_FINAL, FAMILY_INPUT, CompletionTrace,
+                         magic_complete)
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .params import ParameterTuple
 from .space import (LabelledCycle, LabelledGraph, canonical_cycle,
@@ -50,9 +50,9 @@ def extract_obstacle(p: ParameterTuple, magic: int, g: LabelledGraph,
                      trace: CompletionTrace) -> Obstacle:
     """Backward run from the first forbidden triangle of an uncompletable run.
 
-    Stages are processed in decreasing step order; within a stage every cycle
-    edge assigned at that step is replaced by its witness fork.  No
-    minimization is attempted afterwards.
+    The trace is checked against p, magic and g, and the completed graph is
+    rebuilt from it only to find that triangle; _pull_back does the rest.
+    No minimization is attempted afterwards.
     """
     if trace.params != p or trace.magic != magic:
         raise InputError("trace does not belong to the given parameters and magic value")
@@ -63,53 +63,40 @@ def extract_obstacle(p: ParameterTuple, magic: int, g: LabelledGraph,
     mat = [[0] * g.n for _ in range(g.n)]
     for _, (u, v), value, _, _ in trace.records:
         mat[u][v] = mat[v][u] = value
-    completed = LabelledGraph._of(g.delta, mat)
-    first = first_forbidden(p, completed)
+    first = first_forbidden(p, LabelledGraph._of(g.delta, mat))
     if first is None:
         raise InputError("the completion run was Completable; there is no obstacle")
-    # the pull-back reads no forbidden triangle but the first
-    return _run_obstacle(CompletionOutcome(completed, trace, False, (first,)))
+    return _pull_back(trace, first)
 
 
-def _run_obstacle(outcome: CompletionOutcome) -> Obstacle:
-    """extract_obstacle for an uncompletable run in hand: the backward run
-    from its first forbidden triangle over its own graph and records, with
-    nothing to check or rebuild."""
-    completed, records = outcome.completed, outcome.trace.by_pair()
-    u, v, w = outcome.forbidden_triangles[0]
-    hom = [u, v, w]
-    labels = [completed.get(u, v), completed.get(v, w), completed.get(w, u)]
-    limit = 3 * 2 ** completed.delta
-
-    def record_of(a: int, b: int):
+def _pull_back(trace: CompletionTrace, triangle: tuple[int, int, int]) -> Obstacle:
+    """The obstacle of a forbidden triangle (u, v, w) of the run `trace`
+    records.  A stack holds the edges still to walk, starting with u-v, v-w
+    and w-u.  A derived edge a-b is replaced by its witness edges a-x and
+    x-b; an input edge is walked, giving its start vertex to the hom and its
+    record's value to the labels, so the cycle comes out in order."""
+    records = trace.by_pair()
+    limit = 3 * 2 ** trace.params.delta
+    u, v, w = triangle
+    stack = [(w, u), (v, w), (u, v)]
+    hom: list[int] = []
+    labels: list[int] = []
+    while stack:
+        a, b = stack.pop()
         record = records[(a, b) if a < b else (b, a)]
-        if record.family == FAMILY_FINAL:
+        if record.family in _DERIVED:
+            x = record.witness
+            stack += (x, b), (a, x)
+            if len(hom) + len(stack) > limit:
+                raise InvariantViolation(
+                    f"obstacle grew past {limit} edges; the witness records must loop")
+        elif record.family == FAMILY_FINAL:
             raise InvariantViolation(
                 f"final-fill edge ({a}, {b}) inside an obstacle contradicts "
                 "magic-edge provenance")
-        return record
-
-    while True:
-        cycle = [record_of(a, b) for a, b in zip(hom, hom[1:] + hom[:1])]
-        steps = [record.step for record in cycle if record.family in _DERIVED]
-        if not steps:
-            break
-        stage = max(steps)
-        new_hom: list[int] = []
-        new_labels: list[int] = []
-        for i, record in enumerate(cycle):
-            new_hom.append(hom[i])
-            if record.family in _DERIVED and record.step == stage:
-                witness = record.witness
-                new_labels.append(completed.get(hom[i], witness))
-                new_hom.append(witness)
-                new_labels.append(completed.get(witness, hom[(i + 1) % len(hom)]))
-            else:
-                new_labels.append(labels[i])
-        hom, labels = new_hom, new_labels
-        if len(hom) > limit:
-            raise InvariantViolation(
-                f"obstacle grew past {limit} edges; the stage recursion must be wrong")
+        else:
+            hom.append(a)
+            labels.append(record.value)
     return Obstacle(LabelledCycle(tuple(labels)), tuple(hom))
 
 

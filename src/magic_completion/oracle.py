@@ -17,11 +17,10 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .completion import magic_complete, shortest_path_complete
+from .completion import _steps, magic_complete, shortest_path_complete
 from .errors import InputError, ResourceLimitError
-from .obstacles import _pmap, _require_jobs, _run_obstacle, validate_obstacle_hom
-from .params import (CASE_III, ParameterTuple, classify_admissible,
-                     eligible_magic)
+from .obstacles import _pmap, _pull_back, _require_jobs, validate_obstacle_hom
+from .params import CASE_III, ParameterTuple, classify_admissible
 from .space import (LabelledCycle, LabelledGraph, allowed_masks, automorphisms,
                     canonical_cycle, cycle_to_graph, first_forbidden, fork_graph,
                     is_automorphism, is_member, serialize_graph)
@@ -572,19 +571,23 @@ def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
             f"engine says completable={outcome.completable}, search says {found}")
         findings.append(("oracle-equivalence", True, detail, {}))
     # automorphisms lists the identity first, and every completion keeps it
-    auts = automorphisms(g)
-    moved = auts[1:]
-    spc = shortest_path_complete(p.delta, g) if moved else None
-    aut_detail = None
-    for perm in moved:
-        if not is_automorphism(outcome.completed, perm):
-            aut_detail = f"permutation {perm} lost by staged completion"
-            break
-        if not is_automorphism(spc, perm):
-            aut_detail = f"permutation {perm} lost by shortest-path completion"
-            break
-    findings.append(("automorphism-preservation", True, aut_detail,
-                     {"input-automorphisms": len(auts)}))
+    try:
+        auts = automorphisms(g)
+    except ResourceLimitError:
+        findings.append(("automorphism-preservation", False, None, {"skipped": 1}))
+    else:
+        moved = auts[1:]
+        spc = shortest_path_complete(p.delta, g) if moved else None
+        aut_detail = None
+        for perm in moved:
+            if not is_automorphism(outcome.completed, perm):
+                aut_detail = f"permutation {perm} lost by staged completion"
+                break
+            if not is_automorphism(spc, perm):
+                aut_detail = f"permutation {perm} lost by shortest-path completion"
+                break
+        findings.append(("automorphism-preservation", True, aut_detail,
+                         {"input-automorphisms": len(auts)}))
     if outcome.completable:
         if tally is None:
             findings.append(("optimality", False, None, {"skipped": 1}))
@@ -596,7 +599,7 @@ def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
         details = _provenance_details(p, magic, g, outcome.completed)
         findings.append(("m-edge-provenance", True,
                          details[0] if details else None, {}))
-        obstacle = _run_obstacle(outcome)
+        obstacle = _pull_back(outcome.trace, outcome.forbidden_triangles[0])
         if not validate_obstacle_hom(g, obstacle):
             findings.append(("obstacle-extraction", True,
                              f"invalid homomorphism for obstacle {obstacle.cycle.labels}",
@@ -667,8 +670,7 @@ def run_verification_suite(p: ParameterTuple, magic: int, scope,
     Results are deterministic for a given scope (random scopes are seeded).
     Budget overruns within a sub-check are counted under a "skipped" stat.
     """
-    if type(magic) is not int or magic not in eligible_magic(p):
-        raise InputError(f"{magic} is not an eligible magic distance for {p.key()}")
+    _steps(p, magic)  # refuses a bad (tuple, magic) pair
     _require_jobs(jobs)  # before the scope, which can take seconds to build
     instances = scope_instances(p, magic, scope)
     worker = functools.partial(_instance_findings, p, magic)

@@ -103,9 +103,9 @@ def test_fork_rule_family_lookup():
 
 
 def test_non_int_magic_is_refused_with_a_cold_and_a_warm_cache(monkeypatch):
-    # 3.0 == 3 and both hash alike, so the float would find the int's
-    # cached steps: each entry tests the type itself, the sweep before it
-    # builds its scope
+    # 3.0 == 3 and both hash alike, so an untyped cache would hand the float
+    # the int's steps: the step table keys on the type and tests it, and the
+    # sweep reads the table before it builds its scope
     monkeypatch.setattr(oracle, "scope_instances", lambda *args: pytest.fail("scope built"))
     g = fork_graph(1, 5, 5)
     _steps.cache_clear()

@@ -1,12 +1,18 @@
+import itertools
+import random
+
 import pytest
 
-from magic_completion import (CycleFamily, InputError, LabelledCycle,
-                              ParameterTuple, brute_force_completable,
-                              canonical_cycle, cycle_to_graph,
+from magic_completion import (CompletionTrace, CycleFamily, InputError,
+                              InvariantViolation, LabelledCycle, LabelledGraph,
+                              Obstacle, ParameterTuple, TraceRecord,
+                              brute_force_completable, canonical_cycle,
+                              cycle_to_graph, eligible_magic,
+                              enumerate_admissible,
                               enumerate_uncompletable_cycles, extract_obstacle,
                               family_classify, magic_complete,
                               serialize_catalogue, validate_obstacle_hom)
-from magic_completion.obstacles import _run_obstacle
+from magic_completion.obstacles import _pull_back
 from magic_completion.oracle import ExhaustiveScope, scope_instances
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
@@ -77,9 +83,85 @@ def test_extraction_from_a_trace_equals_the_run_pull_back():
     for g in scope_instances(p, 2, ExhaustiveScope(4)):
         outcome = magic_complete(p, 2, g)
         if not outcome.completable:
-            assert extract_obstacle(p, 2, g, outcome.trace) == _run_obstacle(outcome)
+            assert extract_obstacle(p, 2, g, outcome.trace) == \
+                _pull_back(outcome.trace, outcome.forbidden_triangles[0])
             pulled += 1
     assert pulled == 1331
+
+
+def _stage_loop(outcome):
+    """Reference pull-back: every stage replaces all cycle edges derived at
+    the latest step left by their witness forks, reading labels off the
+    completed graph, until only input edges are left."""
+    completed, records = outcome.completed, outcome.trace.by_pair()
+    hom = list(outcome.forbidden_triangles[0])
+    while True:
+        cycle = [records[min(a, b), max(a, b)] for a, b in zip(hom, hom[1:] + hom[:1])]
+        assert "final-M" not in {record.family for record in cycle}
+        steps = [record.step for record in cycle if record.family != "input"]
+        if not steps:
+            break
+        stage = max(steps)
+        new_hom = []
+        for i, record in enumerate(cycle):
+            new_hom.append(hom[i])
+            if record.family != "input" and record.step == stage:
+                new_hom.append(record.witness)
+        hom = new_hom
+    labels = [completed.get(a, b) for a, b in zip(hom, hom[1:] + hom[:1])]
+    return Obstacle(LabelledCycle(tuple(labels)), tuple(hom))
+
+
+def _uncompletable_runs():
+    """Every run of the twelve delta-3 (tuple, magic) pairs on 4 vertices,
+    then one seeded noise graph on 30..40 vertices per admissible tuple of
+    delta 4..7, all of them uncompletable."""
+    for row in enumerate_admissible(3):
+        for magic in sorted(eligible_magic(row.params)):
+            for g in scope_instances(row.params, magic, ExhaustiveScope(4)):
+                yield magic_complete(row.params, magic, g)
+    rng = random.Random(18)
+    for delta in range(4, 8):
+        for row in enumerate_admissible(delta):
+            magic = min(eligible_magic(row.params))
+            n = rng.randint(30, 40)
+            edges = [(u, v, rng.randint(1, delta))
+                     for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+            yield magic_complete(row.params, magic, LabelledGraph(n, delta, edges))
+
+
+def test_pull_back_equals_the_stage_loop():
+    pairs, noise = set(), 0
+    for outcome in _uncompletable_runs():
+        if outcome.completable:
+            continue
+        assert _pull_back(outcome.trace, outcome.forbidden_triangles[0]) == \
+            _stage_loop(outcome)
+        pairs.add((outcome.trace.params, outcome.trace.magic))
+        noise += outcome.trace.params.delta > 3
+    assert len([pair for pair in pairs if pair[0].delta == 3]) == 12
+    assert noise == 183
+
+
+def _hand_trace(*records):
+    return CompletionTrace(ParameterTuple(3, 1, 2, 10, 9), 2,
+                           tuple(TraceRecord(*record) for record in records))
+
+
+def test_pull_back_refuses_a_final_fill_edge():
+    trace = _hand_trace((None, (0, 1), 1, None, "input"), (None, (1, 2), 1, None, "input"),
+                        (None, (0, 2), 2, None, "final-M"))
+    with pytest.raises(InvariantViolation, match=r"final-fill edge \(2, 0\)"):
+        _pull_back(trace, (0, 1, 2))
+
+
+def test_pull_back_stops_on_a_witness_loop():
+    # each pair names the third vertex as its witness, so every expansion
+    # brings back the pairs it came from
+    trace = _hand_trace((1, (0, 1), 1, 2, "plus"), (1, (1, 2), 1, 0, "plus"),
+                        (1, (0, 2), 1, 1, "plus"))
+    with pytest.raises(InvariantViolation, match="grew past 24 edges"):
+        _pull_back(trace, (0, 1, 2))
 
 
 def test_hom_validation_rejects_wrong_labels():

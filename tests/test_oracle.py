@@ -422,6 +422,17 @@ def test_suite_random_stats_are_pinned():
     assert by_name["automorphism-preservation"].stats == {"input-automorphisms": 90}
 
 
+def test_suite_skips_automorphisms_of_graphs_over_budget():
+    # two random instances on 10 vertices, one above AUTOMORPHISM_BUDGET:
+    # their automorphism check is skipped, the six fork instances count
+    by_name = {r.name: r for r in run_verification_suite(
+        ParameterTuple(3, 1, 2, 10, 9), 2, RandomScope(2, 1, vertices=10))}
+    assert len(by_name) == 7
+    report = by_name["automorphism-preservation"]
+    assert (report.instances, report.stats["skipped"]) == (6, 2)
+    assert report.passed
+
+
 def test_suite_parallel_matches_serial():
     serial = run_verification_suite(P3, 2, RandomScope(25, seed=5))
     parallel = run_verification_suite(P3, 2, RandomScope(25, seed=5), jobs=2)
