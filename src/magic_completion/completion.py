@@ -44,7 +44,6 @@ def time_of(x: int, magic: int, delta: int) -> int:
     return 2 * x - 1 if x < magic else 2 * (delta - x)
 
 
-@lru_cache(maxsize=None, typed=True)
 def _steps(p: ParameterTuple,
            magic: int) -> tuple[tuple[int, int, dict[tuple[int, int], str]], ...]:
     """The rule passes for an admissible tuple and an eligible magic value:
@@ -54,10 +53,18 @@ def _steps(p: ParameterTuple,
     No fork is both a sum and a cap fork: that needs x = C - 1 - x, and
     x < M <= (C - delta - 1) / 2.
     This is the one gate for a (tuple, magic) pair: an inadmissible tuple,
-    then an ineligible or non-int magic value, raises, and raising calls are
-    not cached.  typed=True keeps 3.0 from finding the steps of 3."""
-    if magic not in eligible_magic(p) or type(magic) is not int:
+    then an ineligible or non-int magic value, raises before the table's
+    cache sees the value, so 3.0 and an unhashable value are refused too."""
+    eligible = eligible_magic(p)
+    if type(magic) is not int or magic not in eligible:
         raise InputError(f"{magic} is not an eligible magic distance for {p.key()}")
+    return _step_table(p, magic)
+
+
+@lru_cache(maxsize=None)
+def _step_table(p: ParameterTuple,
+                magic: int) -> tuple[tuple[int, int, dict[tuple[int, int], str]], ...]:
+    """_steps for a pair that it has accepted."""
     delta, c = p.delta, p.c
     labels = range(1, delta + 1)
     steps = []

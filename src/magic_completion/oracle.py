@@ -23,10 +23,10 @@ from .obstacles import _pmap, _pull_back, _require_jobs, validate_obstacle_hom
 from .params import CASE_III, ParameterTuple, classify_admissible
 from .space import (LabelledCycle, LabelledGraph, allowed_masks, automorphisms,
                     canonical_cycle, cycle_to_graph, first_forbidden, fork_graph,
-                    is_automorphism, is_member, serialize_graph)
+                    is_automorphism, serialize_graph)
 
-# Missing-pair budgets of the completion enumeration and the completability
-# search: the search defaults, and the budgets of every verification sweep.
+# Missing-pair budgets of the completion enumeration (its default) and of the
+# completability search; every verification sweep runs within them.
 ENUM_BUDGET = 12
 BRUTE_BUDGET = 18
 
@@ -226,10 +226,10 @@ def _completions(p: ParameterTuple, g: LabelledGraph, max_missing: int,
     return out
 
 
-def brute_force_completable(p: ParameterTuple, g: LabelledGraph,
-                            max_missing: int = BRUTE_BUDGET) -> LabelledGraph | None:
-    """First completion in depth-first order, or None."""
-    results = _completions(p, g, max_missing, first=True)
+def brute_force_completable(p: ParameterTuple, g: LabelledGraph) -> LabelledGraph | None:
+    """First completion in depth-first order, or None; ResourceLimitError
+    when g has more than BRUTE_BUDGET missing pairs."""
+    results = _completions(p, g, BRUTE_BUDGET, first=True)
     return results[0] if results else None
 
 
@@ -329,55 +329,25 @@ def _embeddings(a: LabelledGraph, b: LabelledGraph) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_embedding(a: LabelledGraph, name: str, emb: tuple[int, ...],
-                     b: LabelledGraph) -> None:
-    """InputError unless emb is a label-preserving injection of a into b."""
-    if len(emb) != a.n or len(set(emb)) != a.n:
-        raise InputError(f"{name} is not an injection of a")
-    if any(not 0 <= x < b.n for x in emb):
-        raise InputError(f"{name} maps outside its target")
-    for x, y in a.pairs():
-        if a.get(x, y) != b.get(emb[x], emb[y]):
-            raise InputError(f"{name} does not preserve labels")
-
-
-def _check_parts(p: ParameterTuple, a: LabelledGraph, b1: LabelledGraph,
-                 b2: LabelledGraph, emb1: tuple[int, ...],
-                 emb2: tuple[int, ...]) -> None:
-    """InputError unless a, b1 and b2 are complete graphs of p's delta and
-    emb1, emb2 embed a into b1, b2.  Class membership of the sides is left
-    to _require_members."""
-    for name, graph in (("a", a), ("b1", b1), ("b2", b2)):
-        if graph.delta != p.delta:
-            raise InputError(f"{name} has delta {graph.delta}, expected {p.delta}")
-        if not graph.is_complete():
-            raise InputError(f"{name} must be a complete graph")
-    _check_embedding(a, "emb1", emb1, b1)
-    _check_embedding(a, "emb2", emb2, b2)
-
-
 def _glue(p: ParameterTuple, a: LabelledGraph, b1: LabelledGraph,
           b2: LabelledGraph, emb1: tuple[int, ...],
           emb2: tuple[int, ...]) -> LabelledGraph:
-    """Free superposition of b1 and b2 over their shared copies of a, for
-    parts that _check_parts accepts.
+    """Free superposition of b1 and b2 over their shared copies of a: b1 and
+    b2 are complete graphs of p's delta, and emb1, emb2 are label-preserving
+    injections of a into them.
 
     The glued graph keeps b1's vertex ids; vertices of b2 outside the shared
-    part get fresh ids.  Pairs across the two sides stay missing.
+    part get fresh ids, and a pair inside the shared part gets the label it
+    has on both sides.  Pairs across the two sides stay missing.
     """
-    mapping: dict[int, int] = {}
-    for x in range(a.n):
-        mapping[emb2[x]] = emb1[x]
+    mapping = dict(zip(emb2, emb1))
     next_id = b1.n
     for y in range(b2.n):
         if y not in mapping:
             mapping[y] = next_id
             next_id += 1
     mat = _padded(b1, next_id)
-    shared = set(emb2)
     for x, y, d in b2.edges():
-        if x in shared and y in shared:
-            continue  # already present via b1, as _check_parts ensures
         mat[mapping[x]][mapping[y]] = mat[mapping[y]][mapping[x]] = d
     return LabelledGraph._of(p.delta, mat)
 
@@ -389,14 +359,10 @@ def _padded(g: LabelledGraph, size: int) -> list[list[int]]:
     return [list(row) + pad for row in g._mat] + [[0] * size for _ in pad]
 
 
-def _require_members(p: ParameterTuple, *sides: LabelledGraph) -> None:
-    if not all(is_member(p, b) for b in sides):
-        raise InputError("both sides of an amalgam must belong to the class")
-
-
 def _amalgam_report(p: ParameterTuple, magic: int, amalgams, describe) -> PropertyReport:
     """The amalgamation report over `amalgams`, which yields the parts
-    (a, b1, b2, emb1, emb2) of each amalgam, as _check_parts accepts them.
+    (a, b1, b2, emb1, emb2) of each amalgam: members b1, b2 of p's class
+    and label-preserving injections emb1, emb2 of a into them.
     Each counts as an instance and, when its glued graph is uncompletable, as
     a failure whose detail is describe(*parts).  Many amalgams glue to the
     same graph, so the engine runs once per distinct glued graph."""
@@ -418,18 +384,12 @@ def _all_amalgams(p: ParameterTuple):
     """The parts of check_amalgamation's amalgams, in sweep order."""
     members = {size: enumerate_members(p, size)
                for size in range(0, AMALGAM_PART_SIZE + 1)}
-    # every side is one of these members, so each is checked once, not per
-    # pair; this also checks that every member is complete, of p's delta
-    for size in members:
-        _require_members(p, *members[size])
     for a_size in range(0, AMALGAM_PART_SIZE + 1):
         for a in members[a_size]:
             sides = []
             for b_size in range(a_size, AMALGAM_PART_SIZE + 1):
                 for b in members[b_size]:
-                    for emb in _embeddings(a, b):
-                        _check_embedding(a, "embedding", emb, b)
-                        sides.append((b, emb))
+                    sides.extend((b, emb) for emb in _embeddings(a, b))
             for (b1, e1), (b2, e2) in itertools.product(sides, sides):
                 yield a, b1, b2, e1, e2
 
@@ -626,8 +586,6 @@ def _drawn_amalgams(p: ParameterTuple, magic: int, scope: RandomScope):
         b1 = _extend_member(p, magic, rng, a, rng.randint(a.n, AMALGAM_PART_SIZE))
         b2 = _extend_member(p, magic, rng, a, rng.randint(a.n, AMALGAM_PART_SIZE))
         identity = tuple(range(a.n))
-        _check_parts(p, a, b1, b2, identity, identity)
-        _require_members(p, b1, b2)
         yield a, b1, b2, identity, identity
 
 

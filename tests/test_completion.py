@@ -13,7 +13,7 @@ from magic_completion import (InputError, InvariantViolation,
                               serialize_trace, shortest_path_complete, time_of)
 from magic_completion import completion, oracle
 from magic_completion.completion import (CompletionTrace, _apply_rule, _Masks,
-                                         _steps)
+                                         _step_table, _steps)
 from magic_completion.space import MAX_VERTICES
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
@@ -103,19 +103,21 @@ def test_fork_rule_family_lookup():
 
 
 def test_non_int_magic_is_refused_with_a_cold_and_a_warm_cache(monkeypatch):
-    # 3.0 == 3 and both hash alike, so an untyped cache would hand the float
-    # the int's steps: the step table keys on the type and tests it, and the
+    # 3.0 == 3 and both hash alike, so a cache that saw it first would hand
+    # the float the int's steps, and [3] cannot be hashed at all: the gate
+    # tests the type before the step table's cache sees the value, and the
     # sweep reads the table before it builds its scope
     monkeypatch.setattr(oracle, "scope_instances", lambda *args: pytest.fail("scope built"))
     g = fork_graph(1, 5, 5)
-    _steps.cache_clear()
+    _step_table.cache_clear()
     for _ in ("cold", "warm"):
-        with pytest.raises(InputError):
-            magic_complete(P5, 3.0, g)
+        for magic in (3.0, [3]):
+            with pytest.raises(InputError, match="not an eligible magic distance"):
+                magic_complete(P5, magic, g)
+            with pytest.raises(InputError, match="not an eligible magic distance"):
+                run_verification_suite(P5, magic, RandomScope(1, seed=0))
         with pytest.raises(InputError):
             select_magic_parameter(P5, 3.0)
-        with pytest.raises(InputError):
-            run_verification_suite(P5, 3.0, RandomScope(1, seed=0))
         assert magic_complete(P5, 3, g).completed.get(0, 2) == 4
 
 

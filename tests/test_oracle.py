@@ -21,7 +21,7 @@ from magic_completion import oracle
 from magic_completion.oracle import (PROPERTY_ORDER, _value_counts,
                                      scope_instances)
 from magic_completion.params import eligible_magic, enumerate_admissible
-from magic_completion.space import classify_triangle
+from magic_completion.space import classify_triangle, is_member
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 P3 = ParameterTuple(3, 1, 3, 10, 11)
@@ -65,8 +65,9 @@ def test_first_completion_search_stops():
 
 
 def test_search_budget():
-    with pytest.raises(ResourceLimitError):
-        brute_force_completable(P5, LabelledGraph(8, 5), max_missing=10)
+    with pytest.raises(ResourceLimitError,
+                       match="28 missing pairs exceed the search budget of 18"):
+        brute_force_completable(P5, LabelledGraph(8, 5))
 
 
 def test_empty_graph_completions_are_members():
@@ -321,8 +322,6 @@ def test_amalgamation_example():
     a = LabelledGraph(1, 3)
     b1 = LabelledGraph(2, 3, [(0, 1, 1)])
     b2 = LabelledGraph(2, 3, [(0, 1, 3)])
-    oracle._check_parts(P3, a, b1, b2, (0,), (0,))
-    oracle._require_members(P3, b1, b2)
     glued = oracle._glue(P3, a, b1, b2, (0,), (0,))
     assert glued == LabelledGraph(3, 3, [(0, 1, 1), (0, 2, 3)])
     outcome = magic_complete(P3, 2, glued)
@@ -330,29 +329,6 @@ def test_amalgamation_example():
     assert outcome.completed.n == 3
     assert outcome.completed.get(0, 1) == 1
     assert outcome.completed.get(0, 2) == 3
-
-
-def test_amalgamate_validates_embeddings():
-    a = LabelledGraph(2, 3, [(0, 1, 1)])
-    b = LabelledGraph(2, 3, [(0, 1, 2)])
-    with pytest.raises(InputError, match="emb1 does not preserve labels"):
-        oracle._check_parts(P3, a, b, b, (0, 1), (0, 1))
-    with pytest.raises(InputError, match="emb1 is not an injection"):
-        oracle._check_parts(P3, a, b, b, (0, 0), (0, 1))
-    partial = LabelledGraph(3, 3, [(0, 1, 1)])
-    with pytest.raises(InputError, match="b1 must be a complete graph"):
-        oracle._check_parts(P3, a, partial, partial, (0, 1), (0, 1))
-    with pytest.raises(InputError, match="embedding maps outside its target"):
-        oracle._check_embedding(a, "embedding", (0, 2), b)
-
-
-def test_amalgamate_rejects_non_members():
-    bad = cycle_to_graph(LabelledCycle((1, 1, 3)), 3)
-    a = LabelledGraph(0, 3)
-    oracle._check_parts(P3, a, bad, bad, (), ())
-    with pytest.raises(InputError, match="must belong to the class"):
-        oracle._require_members(P3, bad, bad)
-    oracle._require_members(P3, a, LabelledGraph(2, 3, [(0, 1, 3)]))
 
 
 def test_members_enumeration():
@@ -462,6 +438,54 @@ def test_check_amalgamation_small():
     report = check_amalgamation(P3, 2)
     assert report.passed
     assert report.instances == 15518
+
+
+def _reference_glue(p, a, b1, b2, emb1, emb2):
+    # the glue as first written: b2's pairs inside the shared part are
+    # skipped, so they keep b1's labels
+    fresh = itertools.count(b1.n)
+    mapping = {y: emb1[emb2.index(y)] if y in emb2 else next(fresh) for y in range(b2.n)}
+    edges = b1.edges() + [(mapping[x], mapping[y], d) for x, y, d in b2.edges()
+                          if not (x in emb2 and y in emb2)]
+    return LabelledGraph(b1.n + b2.n - a.n, p.delta, edges)
+
+
+def _admissible_pairs():
+    """Every admissible (tuple, magic) pair of delta 3..5."""
+    return [(row.params, magic) for delta in range(3, 6)
+            for row in enumerate_admissible(delta)
+            for magic in sorted(eligible_magic(row.params))]
+
+
+def test_glue_matches_the_reference_on_every_swept_amalgam():
+    # writing a shared pair again is harmless only because both sides agree
+    # on it; the reference keeps b1's label and so tells them apart
+    p = ParameterTuple(3, 1, 2, 10, 9)
+    amalgams = 0
+    for parts in oracle._all_amalgams(p):
+        assert oracle._glue(p, *parts) == _reference_glue(p, *parts)
+        amalgams += 1
+    assert amalgams == 11438
+    seeds = random.Random(5)
+    for p, magic in _admissible_pairs():
+        scope = RandomScope(250, seeds.randrange(2 ** 32))
+        for parts in oracle._drawn_amalgams(p, magic, scope):
+            assert oracle._glue(p, *parts) == _reference_glue(p, *parts)
+
+
+def test_swept_sides_are_members():
+    # neither sweep checks its sides: the draws and the enumeration must
+    # build members of the class, complete and of the tuple's delta
+    seeds = random.Random(6)
+    tuples = set()
+    for p, magic in _admissible_pairs():
+        tuples.add(p)
+        scope = RandomScope(250, seeds.randrange(2 ** 32))
+        for _, b1, b2, _, _ in oracle._drawn_amalgams(p, magic, scope):
+            assert is_member(p, b1) and is_member(p, b2)
+    for p in tuples:
+        for size in range(oracle.AMALGAM_PART_SIZE + 1):
+            assert all(is_member(p, b) for b in enumerate_members(p, size))
 
 
 # the exhaustive sweep of criterion 9, and 250 seeded draws on the same tuple
