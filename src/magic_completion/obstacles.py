@@ -10,6 +10,7 @@ given length and matches cycles against the known forbidden-cycle families.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 from dataclasses import dataclass
@@ -26,6 +27,11 @@ from .space import (LabelledCycle, LabelledGraph, canonical_cycle,
 # enumerate_uncompletable_cycles call, and the length family_classify takes.
 CANDIDATE_BUDGET = 5_000_000
 CLASSIFY_BUDGET = 24
+
+# Most items in one worker task of _pmap.  A verify sweep instance takes about
+# 0.2 ms, so a full chunk outweighs the task's own cost, and 2 * jobs chunks
+# of instances and findings stay near 1 MB per job.
+_CHUNK_LIMIT = 250
 
 
 @dataclass(frozen=True)
@@ -116,18 +122,36 @@ def _require_jobs(jobs: int) -> None:
         raise InputError(f"jobs must be between 1 and {limit} (the CPU count), got {jobs}")
 
 
-def _pmap(fn, items, jobs: int) -> list:
-    """fn over items in input order, in `jobs` worker processes when jobs > 1.
+def _pmap(fn, items, jobs: int, count: int):
+    """Lazy map of fn over the `count` items, in input order, in `jobs` worker
+    processes when jobs > 1.
 
-    jobs is checked by _require_jobs before any process starts.
+    jobs is checked by _require_jobs before any process starts.  A worker
+    task takes a chunk of max(1, count // (jobs * 8)) items, at most
+    _CHUNK_LIMIT, and at most 2 * jobs chunks are sent or done but not yet
+    read, so what this process holds does not grow with count.
     """
     _require_jobs(jobs)
     if jobs == 1:
-        return [fn(item) for item in items]
+        return map(fn, items)
+    chunk = max(1, min(count // (jobs * 8), _CHUNK_LIMIT))
+    return _pool_map(fn, iter(items), jobs, chunk)
+
+
+def _pool_map(fn, items, jobs: int, chunk: int):
     from concurrent.futures import ProcessPoolExecutor  # only a pool run loads it
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(items) // (jobs * 8))
-        return list(pool.map(fn, items, chunksize=chunk))
+        window = collections.deque()
+        while True:
+            while len(window) < 2 * jobs and (batch := list(itertools.islice(items, chunk))):
+                window.append(pool.submit(_map_chunk, fn, batch))
+            if not window:
+                return
+            yield from window.popleft().result()
+
+
+def _map_chunk(fn, batch: list) -> list:
+    return [fn(item) for item in batch]
 
 
 def _enumerate_worker(args) -> list[tuple[int, ...]]:
@@ -149,7 +173,7 @@ def enumerate_uncompletable_cycles(p: ParameterTuple, magic: int, length: int,
         raise ResourceLimitError(
             f"{p.delta}^{length} candidate cycles exceed the budget of {CANDIDATE_BUDGET}")
     tasks = [(p, magic, length, leading) for leading in range(1, p.delta + 1)]
-    chunks = _pmap(_enumerate_worker, tasks, jobs)
+    chunks = _pmap(_enumerate_worker, tasks, jobs, len(tasks))
     return frozenset(LabelledCycle(labels) for chunk in chunks for labels in chunk)
 
 

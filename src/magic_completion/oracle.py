@@ -14,11 +14,12 @@ import functools
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .completion import _steps, magic_complete, shortest_path_complete
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InvariantViolation, ResourceLimitError
 from .obstacles import _pmap, _pull_back, _require_jobs, validate_obstacle_hom
 from .params import CASE_III, ParameterTuple, classify_admissible
 from .space import (LabelledCycle, LabelledGraph, allowed_masks, automorphisms,
@@ -202,6 +203,9 @@ def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int,
         return found
 
     total = descend(0, static[0])
+    # descend refers to itself through its closure; unbinding it frees the
+    # search state now instead of at the next cycle collection
+    del descend
     for dom, times in last.items():
         for d in values:
             if dom >> d & 1:
@@ -367,14 +371,16 @@ def _amalgam_report(p: ParameterTuple, magic: int, amalgams, describe) -> Proper
     a failure whose detail is describe(*parts).  Many amalgams glue to the
     same graph, so the engine runs once per distinct glued graph."""
     report = PropertyReport("amalgamation", 0)
-    # glued graph -> the engine's completable verdict
-    verdicts: dict[LabelledGraph, bool] = {}
+    # the glued label matrix, row by row, -> the engine's completable verdict;
+    # labels are at most MAX_DELTA, so a byte per label keeps the key exact
+    verdicts: dict[bytes, bool] = {}
     for parts in amalgams:
         glued = _glue(p, *parts)
         report.instances += 1
-        completable = verdicts.get(glued)
+        key = bytes(itertools.chain.from_iterable(glued._mat))
+        completable = verdicts.get(key)
         if completable is None:
-            completable = verdicts[glued] = magic_complete(p, magic, glued).completable
+            completable = verdicts[key] = magic_complete(p, magic, glued).completable
         if not completable:
             report.failures.append(Failure(serialize_graph(glued), describe(*parts)))
     return report
@@ -421,13 +427,15 @@ class RandomScope:
     vertices: int = 5
 
 
-def _extend_member(p: ParameterTuple, magic: int, rng: random.Random,
-                   base: LabelledGraph, size: int) -> LabelledGraph:
+def _extend_member(p: ParameterTuple, rng: random.Random, base: LabelledGraph,
+                   size: int) -> LabelledGraph:
     """Random complete member of the given size containing `base` on 0..n-1.
 
     Each new distance is drawn from the values that keep all triangles against
-    the already-built part allowed; if the greedy draw dead-ends, the whole
-    vertex falls back to the magic distance, which always works.
+    the already-built part allowed.  Strong amalgamation makes such a value
+    exist: when d(u, v) is drawn, the members on 0..u and on 0..u-1 plus v
+    share 0..u-1, and their free amalgam misses only (u, v).  A dead end
+    therefore means a broken triangle table and raises InvariantViolation.
     """
     masks = allowed_masks(p)
     values = range(1, p.delta + 1)
@@ -441,14 +449,14 @@ def _extend_member(p: ParameterTuple, magic: int, rng: random.Random,
                 allowed &= masks[a][b]
             options = [val for val in values if allowed >> val & 1]
             if not options:
-                for w in range(v):
-                    mat[w][v] = mat[v][w] = magic
-                break
+                raise InvariantViolation(
+                    f"no distance is allowed for the pair ({u}, {v}) of a member of "
+                    f"{p.key()}; the class must amalgamate strongly")
             mat[u][v] = mat[v][u] = rng.choice(options)
     return LabelledGraph._of(p.delta, mat)
 
 
-def _random_instance(p: ParameterTuple, magic: int, rng: random.Random,
+def _random_instance(p: ParameterTuple, rng: random.Random,
                      empty: LabelledGraph) -> LabelledGraph:
     """A seeded graph on the vertices of `empty`, which has no edges."""
     if rng.random() < 0.5:
@@ -457,7 +465,7 @@ def _random_instance(p: ParameterTuple, magic: int, rng: random.Random,
             if rng.random() >= 0.25:
                 mat[u][v] = mat[v][u] = rng.randint(1, p.delta)
         return LabelledGraph._of(p.delta, mat)
-    member = _extend_member(p, magic, rng, LabelledGraph(0, p.delta), empty.n)
+    member = _extend_member(p, rng, LabelledGraph(0, p.delta), empty.n)
     mat = _padded(member, empty.n)
     for u, v, _ in member.edges():
         if rng.random() < 0.5:
@@ -465,8 +473,9 @@ def _random_instance(p: ParameterTuple, magic: int, rng: random.Random,
     return LabelledGraph._of(p.delta, mat)
 
 
-def scope_instances(p: ParameterTuple, magic: int, scope) -> list[LabelledGraph]:
-    """Materialize the instance list for a verification scope."""
+def _scope_size(p: ParameterTuple, scope) -> int:
+    """The number of instances in a verification scope, after checking it
+    against MAX_SCOPE_INSTANCES."""
     if isinstance(scope, ExhaustiveScope):
         # (delta+1)^pairs, computed no further than the first power over budget
         count = math.comb(max(scope.vertices, 0), 2)
@@ -475,15 +484,7 @@ def scope_instances(p: ParameterTuple, magic: int, scope) -> list[LabelledGraph]
             raise ResourceLimitError(
                 f"{p.delta + 1}^{count} instances on {scope.vertices} vertices exceed "
                 f"the budget of {MAX_SCOPE_INSTANCES}")
-        empty = LabelledGraph(scope.vertices, p.delta)
-        pairs = empty.missing_pairs()
-        out = []
-        for assignment in itertools.product(range(p.delta + 1), repeat=len(pairs)):
-            mat = _padded(empty, empty.n)
-            for (u, v), d in zip(pairs, assignment):
-                mat[u][v] = mat[v][u] = d
-            out.append(LabelledGraph._of(p.delta, mat))
-        return out
+        return (p.delta + 1) ** count
     if isinstance(scope, RandomScope):
         if scope.count < 0:
             raise InputError(f"random instance count must be non-negative, got {scope.count}")
@@ -492,14 +493,36 @@ def scope_instances(p: ParameterTuple, magic: int, scope) -> list[LabelledGraph]
             raise ResourceLimitError(
                 f"{forks} fork and {scope.count} random instances exceed the budget "
                 f"of {MAX_SCOPE_INSTANCES}")
-        empty = LabelledGraph(scope.vertices, p.delta)
-        out = [fork_graph(a, b, p.delta)
-               for a in range(1, p.delta + 1) for b in range(a, p.delta + 1)]
-        rng = random.Random(scope.seed)
-        out.extend(_random_instance(p, magic, rng, empty)
-                   for _ in range(scope.count))
-        return out
+        return forks + scope.count
     raise InputError(f"unknown scope {scope!r}")
+
+
+def scope_instances(p: ParameterTuple, scope) -> Iterator[LabelledGraph]:
+    """The instances of a verification scope, drawn one at a time as they
+    are read.  The scope is checked here, before any instance is drawn."""
+    _scope_size(p, scope)
+    empty = LabelledGraph(scope.vertices, p.delta)
+    if isinstance(scope, ExhaustiveScope):
+        return _exhaustive_instances(p, empty)
+    return _random_instances(p, scope, empty)
+
+
+def _exhaustive_instances(p: ParameterTuple, empty: LabelledGraph):
+    pairs = empty.missing_pairs()
+    for assignment in itertools.product(range(p.delta + 1), repeat=len(pairs)):
+        mat = _padded(empty, empty.n)
+        for (u, v), d in zip(pairs, assignment):
+            mat[u][v] = mat[v][u] = d
+        yield LabelledGraph._of(p.delta, mat)
+
+
+def _random_instances(p: ParameterTuple, scope: RandomScope, empty: LabelledGraph):
+    for a in range(1, p.delta + 1):
+        for b in range(a, p.delta + 1):
+            yield fork_graph(a, b, p.delta)
+    rng = random.Random(scope.seed)
+    for _ in range(scope.count):
+        yield _random_instance(p, rng, empty)
 
 
 def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
@@ -577,20 +600,20 @@ def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
     return text, findings
 
 
-def _drawn_amalgams(p: ParameterTuple, magic: int, scope: RandomScope):
+def _drawn_amalgams(p: ParameterTuple, scope: RandomScope):
     """Seeded amalgam parts: up to 250 draws of a member a on at most two
     vertices and two members that extend it, glued along a itself."""
     rng = random.Random(scope.seed + 1)
     for _ in range(min(scope.count, 250)):
-        a = _extend_member(p, magic, rng, LabelledGraph(0, p.delta), rng.randint(0, 2))
-        b1 = _extend_member(p, magic, rng, a, rng.randint(a.n, AMALGAM_PART_SIZE))
-        b2 = _extend_member(p, magic, rng, a, rng.randint(a.n, AMALGAM_PART_SIZE))
+        a = _extend_member(p, rng, LabelledGraph(0, p.delta), rng.randint(0, 2))
+        b1 = _extend_member(p, rng, a, rng.randint(a.n, AMALGAM_PART_SIZE))
+        b2 = _extend_member(p, rng, a, rng.randint(a.n, AMALGAM_PART_SIZE))
         identity = tuple(range(a.n))
         yield a, b1, b2, identity, identity
 
 
 def _random_amalgamation(p: ParameterTuple, magic: int, scope: RandomScope) -> PropertyReport:
-    return _amalgam_report(p, magic, _drawn_amalgams(p, magic, scope),
+    return _amalgam_report(p, magic, _drawn_amalgams(p, scope),
                            lambda a, *_: f"amalgam over a={a.edges()} is uncompletable")
 
 
@@ -629,10 +652,12 @@ def run_verification_suite(p: ParameterTuple, magic: int, scope,
     Budget overruns within a sub-check are counted under a "skipped" stat.
     """
     _steps(p, magic)  # refuses a bad (tuple, magic) pair
-    _require_jobs(jobs)  # before the scope, which can take seconds to build
-    instances = scope_instances(p, magic, scope)
+    _require_jobs(jobs)  # before the scope is checked or drawn
+    instances = scope_instances(p, scope)
     worker = functools.partial(_instance_findings, p, magic)
-    reports = _merge_findings(_pmap(worker, instances, jobs))
+    # each instance's findings are merged as it is checked, so neither the
+    # instances nor their findings pile up
+    reports = _merge_findings(_pmap(worker, instances, jobs, _scope_size(p, scope)))
     if isinstance(scope, ExhaustiveScope):
         reports.append(check_amalgamation(p, magic))
     else:

@@ -345,6 +345,9 @@ def automorphisms(g: LabelledGraph) -> list[tuple[int, ...]]:
                 used[x] = False
 
     extend(0)
+    # extend refers to itself through its closure; unbinding it frees g's
+    # rows now instead of at the next cycle collection
+    del extend
     return out
 
 

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from magic_completion import (LabelledGraph, ParameterTuple, extract_obstacle,
-                              magic_complete, select_magic_parameter,
-                              serialize_graph, triangle_allowed)
+from magic_completion import (LabelledGraph, ParameterTuple, RandomScope,
+                              extract_obstacle, magic_complete, oracle,
+                              select_magic_parameter, serialize_graph,
+                              triangle_allowed)
 from magic_completion.cli import main
 from magic_completion.completion import _steps
 
@@ -56,6 +57,17 @@ def test_params_check_inadmissible(capsys):
     assert code == 1
     assert "case none" in out.splitlines()
     assert out.splitlines()[-1] == "admissible no"
+
+
+def test_params_check_reports_c1_out_of_range(capsys):
+    code, out, err = _run(capsys, "params", "check", "3", "1", "2", "10", "13")
+    assert (code, err) == (1, "")
+    assert out == "params 3 1 2 10 13\nacceptable no\nviolated 2*delta+2 <= C1 <= 3*delta+2\n"
+
+
+def test_params_list_refuses_delta_below_3(capsys):
+    assert _run(capsys, "params", "list", "--delta", "2") == (
+        2, "", "error: delta must be at least 3\n")
 
 
 def test_params_check_unacceptable(capsys):
@@ -391,11 +403,38 @@ def test_verify_stats_go_to_stderr(capsys):
 
 
 def test_verify_random_parallel_identical(capsys):
-    _, serial, _ = _run(capsys, "verify", "--params", "3", "1", "3", "10", "11",
-                        "--random", "30", "--seed", "4")
-    _, parallel, _ = _run(capsys, "verify", "--params", "3", "1", "3", "10", "11",
-                          "--random", "30", "--seed", "4", "--jobs", "2")
-    assert serial == parallel
+    # 306 instances in chunks of 19, at most four of them in flight
+    argv = ("verify", "--params", "3", "1", "2", "10", "9", "--random", "300",
+            "--seed", "4", "--stats")
+    serial = _run(capsys, *argv, "--jobs", "1")
+    assert serial[0] == 0 and serial[2].startswith("stats oracle-equivalence")
+    assert _run(capsys, *argv, "--jobs", "2") == serial
+
+
+def test_verify_prints_each_counterexample_with_its_instance(capsys, monkeypatch):
+    # no real sweep fails, so two chosen uncompletable instances are made to
+    # fail magic-edge provenance: each failure prints its detail and then
+    # its instance, indented, in instance order
+    p = ParameterTuple(3, 1, 2, 10, 9)
+    magic = select_magic_parameter(p).selected
+    failing = [g for g in oracle.scope_instances(p, RandomScope(30, 4))
+               if not magic_complete(p, magic, g).completable]
+    chosen = {failing[0]: "first", failing[-1]: "last"}
+    assert len(chosen) == 2 and all(failing.count(g) == 1 for g in chosen)
+    monkeypatch.setattr(oracle, "_provenance_details", lambda p, magic, g, completed: (
+        [f"chosen {chosen[g]}"] if g in chosen else []))
+    code, out, _ = _run(capsys, "verify", "--params", "3", "1", "2", "10", "9",
+                        "--random", "30", "--seed", "4", "--jobs", "1")
+    assert code == 1
+    expected = [f"PROPERTY m-edge-provenance instances={len(failing)} failures=2"]
+    for g, name in chosen.items():
+        expected.append(f"counterexample chosen {name}")
+        expected += ["  " + line for line in serialize_graph(g).strip("\n").split("\n")]
+    lines = out.splitlines()
+    start = lines.index(expected[0])
+    assert lines[start:start + len(expected)] == expected
+    assert lines[start + len(expected)].startswith("PROPERTY obstacle-extraction ")
+    assert sum(line.endswith(" failures=0") for line in lines) == 6
 
 
 @pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])

@@ -5,8 +5,8 @@ import pytest
 
 from magic_completion import (CompletionTrace, CycleFamily, InputError,
                               InvariantViolation, LabelledCycle, LabelledGraph,
-                              Obstacle, ParameterTuple, TraceRecord,
-                              brute_force_completable, canonical_cycle,
+                              Obstacle, ParameterTuple, ResourceLimitError,
+                              TraceRecord, brute_force_completable, canonical_cycle,
                               cycle_to_graph, eligible_magic,
                               enumerate_admissible,
                               enumerate_uncompletable_cycles, extract_obstacle,
@@ -75,12 +75,20 @@ def test_extraction_rejects_a_trace_of_another_graph():
         extract_obstacle(P5, 3, g, magic_complete(P5, 3, other).trace)
 
 
+def test_extraction_rejects_a_trace_of_another_tuple_or_magic():
+    g = cycle_to_graph(LabelledCycle((1, 1, 5, 5, 5)), 5)
+    trace = magic_complete(P5, 3, g).trace
+    for p, magic in ((ParameterTuple(5, 3, 3, 14, 13), 3), (P5, 4)):
+        with pytest.raises(InputError, match="trace does not belong to the given parameters"):
+            extract_obstacle(p, magic, g, trace)
+
+
 def test_extraction_from_a_trace_equals_the_run_pull_back():
     # the verify sweep pulls obstacles back from its own runs; extract_obstacle
     # checks a trace and rebuilds the run from it, and must agree
     p = ParameterTuple(3, 1, 2, 10, 9)
     pulled = 0
-    for g in scope_instances(p, 2, ExhaustiveScope(4)):
+    for g in scope_instances(p, ExhaustiveScope(4)):
         outcome = magic_complete(p, 2, g)
         if not outcome.completable:
             assert extract_obstacle(p, 2, g, outcome.trace) == \
@@ -118,7 +126,7 @@ def _uncompletable_runs():
     delta 4..7, all of them uncompletable."""
     for row in enumerate_admissible(3):
         for magic in sorted(eligible_magic(row.params)):
-            for g in scope_instances(row.params, magic, ExhaustiveScope(4)):
+            for g in scope_instances(row.params, ExhaustiveScope(4)):
                 yield magic_complete(row.params, magic, g)
     rng = random.Random(18)
     for delta in range(4, 8):
@@ -169,6 +177,13 @@ def test_hom_validation_rejects_wrong_labels():
     _, obstacle = _extract(P5, 3, g)
     rotated = type(obstacle)(obstacle.cycle, (1, 2, 3, 4, 0))
     assert not validate_obstacle_hom(g, rotated)
+
+
+def test_hom_validation_rejects_a_hom_of_another_length():
+    g = cycle_to_graph(LabelledCycle((1, 1, 5, 5, 5)), 5)
+    _, obstacle = _extract(P5, 3, g)
+    for hom in (obstacle.hom[:4], obstacle.hom + (0,)):
+        assert not validate_obstacle_hom(g, Obstacle(obstacle.cycle, hom))
 
 
 def test_catalogue_length5():
@@ -227,6 +242,12 @@ def test_nonmetric_edge_coincides_with_zero_cap_family():
 def test_family_partition_points_at_heaviest_labels():
     match, = family_classify(P5, LabelledCycle((2, 4, 5)))
     assert match.partition == (1, 2)
+
+
+def test_family_classify_refuses_cycles_over_budget():
+    family_classify(P5, LabelledCycle((5,) * 24))  # the budget itself is classified
+    with pytest.raises(ResourceLimitError, match="length 25 exceeds the classification budget of 24"):
+        family_classify(P5, LabelledCycle((5,) * 25))
 
 
 def test_known_coverage_gap():

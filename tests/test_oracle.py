@@ -3,12 +3,14 @@ import dataclasses
 import functools
 import itertools
 import random
+import tracemalloc
 import types
 
 import pytest
 
 import magic_completion
-from magic_completion import (ExhaustiveScope, Failure, InputError, LabelledCycle,
+from magic_completion import (ExhaustiveScope, Failure, InputError,
+                              InvariantViolation, LabelledCycle,
                               LabelledGraph, ParameterTuple, RandomScope,
                               ResourceLimitError, brute_force_completable,
                               check_amalgamation,
@@ -21,7 +23,7 @@ from magic_completion import oracle
 from magic_completion.oracle import (PROPERTY_ORDER, _value_counts,
                                      scope_instances)
 from magic_completion.params import eligible_magic, enumerate_admissible
-from magic_completion.space import classify_triangle, is_member
+from magic_completion.space import allowed_masks, classify_triangle, is_member
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 P3 = ParameterTuple(3, 1, 3, 10, 11)
@@ -86,7 +88,7 @@ CASES = [(ParameterTuple(4, 1, 4, 14, 13), 2), (ParameterTuple(5, 3, 3, 14, 13),
 @pytest.mark.parametrize("n", range(3, 7))
 def test_value_counts_are_completion_columns(n):
     for p, magic in CASES:
-        for g in scope_instances(p, magic, RandomScope(6, seed=n, vertices=n))[-6:]:
+        for g in list(scope_instances(p, RandomScope(6, seed=n, vertices=n)))[-6:]:
             completions = enumerate_all_completions(p, g).completions
             expected = [[sum(h.get(u, v) == d for h in completions)
                          for d in range(p.delta + 1)]
@@ -102,7 +104,7 @@ def test_search_matches_every_assignment(p):
     # tries every assignment of the missing pairs and checks all triangles
     cube = _cube(p)
     magic = min(eligible_magic(p))
-    for g in scope_instances(p, magic, RandomScope(40, seed=7))[-40:]:
+    for g in list(scope_instances(p, RandomScope(40, seed=7)))[-40:]:
         pairs = g.missing_pairs()
         if len(pairs) > 6:
             continue
@@ -294,11 +296,22 @@ def test_extend_member_matches_the_reference_draw():
                         p, magic, random.Random(seed), LabelledGraph(0, delta), size // 2)]
                     for base in bases:
                         ours, theirs = random.Random(seed + 1), random.Random(seed + 1)
-                        assert oracle._extend_member(p, magic, ours, base, size) == \
+                        assert oracle._extend_member(p, ours, base, size) == \
                             _reference_extend_member(p, magic, theirs, base, size)
                         assert ours.random() == theirs.random()
                         draws += 1
     assert draws > 1000
+
+
+def test_extend_member_refuses_a_dead_end(monkeypatch):
+    # strong amalgamation leaves every drawn pair an allowed value, so a dead
+    # end means a broken triangle table; here two given sides allow nothing
+    full = allowed_masks(P5)[0][0]
+    broken = tuple(tuple(0 if a and b else full for b in range(6)) for a in range(6))
+    monkeypatch.setattr(oracle, "allowed_masks", lambda p: broken)
+    with pytest.raises(InvariantViolation,
+                       match=r"pair \(1, 2\) of a member of \(5, 3, 3, 16, 13\)"):
+        oracle._extend_member(P5, random.Random(1), LabelledGraph(0, 5), 3)
 
 
 def test_m_edge_provenance_on_uncompletable_input():
@@ -343,7 +356,7 @@ def test_members_enumeration():
 
 
 def test_exhaustive_scope_size():
-    instances = scope_instances(P3, 2, ExhaustiveScope(3))
+    instances = list(scope_instances(P3, ExhaustiveScope(3)))
     assert len(instances) == 4 ** 3
     assert len({i for i in map(repr, instances)}) == 64
 
@@ -353,19 +366,19 @@ def test_scopes_refuse_a_vertex_count_out_of_range():
     # is checked once per scope, before any instance is drawn
     for scope in (ExhaustiveScope(-1), RandomScope(0, seed=1, vertices=-1)):
         with pytest.raises(InputError, match="vertex count must be a non-negative"):
-            scope_instances(P3, 2, scope)
+            scope_instances(P3, scope)
     with pytest.raises(ResourceLimitError, match="1001 vertices exceed"):
-        scope_instances(P3, 2, RandomScope(1, seed=1, vertices=1001))
+        scope_instances(P3, RandomScope(1, seed=1, vertices=1001))
 
 
 def test_random_scope_prepends_forks_and_is_deterministic():
-    a = scope_instances(P5, 3, RandomScope(20, seed=9))
-    b = scope_instances(P5, 3, RandomScope(20, seed=9))
+    a = list(scope_instances(P5, RandomScope(20, seed=9)))
+    b = list(scope_instances(P5, RandomScope(20, seed=9)))
     assert a == b
     assert a[:15] == [fork_graph(x, y, 5)
                       for x in range(1, 6) for y in range(x, 6)]
     assert len(a) == 35
-    c = scope_instances(P5, 3, RandomScope(20, seed=10))
+    c = list(scope_instances(P5, RandomScope(20, seed=10)))
     assert a != c
 
 
@@ -421,6 +434,29 @@ def test_suite_rejects_bad_magic():
         run_verification_suite(P5, 2, ExhaustiveScope(3))
 
 
+def test_suite_refuses_an_unknown_scope():
+    with pytest.raises(InputError, match="unknown scope 'everything'"):
+        run_verification_suite(P3, 2, "everything")
+
+
+def test_sweep_memory_does_not_grow_with_the_scope():
+    # each instance is drawn when it is checked and its findings are merged
+    # at once, so four times the instances leave the traced peak about level;
+    # an untraced run first fills the caches and the interpreter's free
+    # lists, so that the traced peaks count only what each sweep holds
+    p = ParameterTuple(3, 1, 2, 10, 9)
+    run_verification_suite(p, 2, RandomScope(1200, seed=1))
+    peaks = []
+    for count in (300, 1200):
+        tracemalloc.start()
+        try:
+            run_verification_suite(p, 2, RandomScope(count, seed=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 def test_suite_refuses_jobs_before_building_the_scope(monkeypatch):
     monkeypatch.setattr(oracle, "scope_instances", lambda *args: pytest.fail("scope built"))
     with pytest.raises(InputError, match="jobs must be between 1 and"):
@@ -467,9 +503,9 @@ def test_glue_matches_the_reference_on_every_swept_amalgam():
         amalgams += 1
     assert amalgams == 11438
     seeds = random.Random(5)
-    for p, magic in _admissible_pairs():
+    for p, _ in _admissible_pairs():
         scope = RandomScope(250, seeds.randrange(2 ** 32))
-        for parts in oracle._drawn_amalgams(p, magic, scope):
+        for parts in oracle._drawn_amalgams(p, scope):
             assert oracle._glue(p, *parts) == _reference_glue(p, *parts)
 
 
@@ -478,10 +514,10 @@ def test_swept_sides_are_members():
     # build members of the class, complete and of the tuple's delta
     seeds = random.Random(6)
     tuples = set()
-    for p, magic in _admissible_pairs():
+    for p, _ in _admissible_pairs():
         tuples.add(p)
         scope = RandomScope(250, seeds.randrange(2 ** 32))
-        for _, b1, b2, _, _ in oracle._drawn_amalgams(p, magic, scope):
+        for _, b1, b2, _, _ in oracle._drawn_amalgams(p, scope):
             assert is_member(p, b1) and is_member(p, b2)
     for p in tuples:
         for size in range(oracle.AMALGAM_PART_SIZE + 1):

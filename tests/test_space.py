@@ -11,7 +11,7 @@ from magic_completion import (GraphParseError, InputError, LabelledCycle,
                               classify_triangle, cycle_to_graph,
                               enumerate_acceptable, forbidden_triangles,
                               fork_graph, is_member,
-                              parse_cycle, parse_graph, select_magic_parameter,
+                              parse_cycle, parse_graph,
                               serialize_cycle, serialize_graph, triangle_allowed)
 from magic_completion.oracle import _extend_member
 from magic_completion.params import MAX_DELTA
@@ -256,7 +256,6 @@ def test_forbidden_triangles_match_triple_loop(seed):
 @pytest.mark.parametrize("key", CASE_KEYS)
 def test_is_member_matches_triple_loop(key):
     p = ParameterTuple(*key)
-    magic = select_magic_parameter(p).selected
     rng = random.Random(sum(key))
 
     def reference(g):
@@ -265,7 +264,7 @@ def test_is_member_matches_triple_loop(key):
 
     non_members = 0
     for n in range(3, 31):
-        member = _extend_member(p, magic, rng, LabelledGraph(0, p.delta), n)
+        member = _extend_member(p, rng, LabelledGraph(0, p.delta), n)
         assert reference(member) and is_member(p, member)
         # one edge off: relabel a random pair until a triangle breaks
         dist = {(u, v): d for u, v, d in member.edges()}
@@ -323,6 +322,7 @@ def test_cycle_validation_and_conversion():
         LabelledCycle((1, 2))
     with pytest.raises(InputError):
         LabelledCycle((1, 0, 2))
+    assert len(LabelledCycle((1, 1, 5, 5, 5))) == 5
     g = cycle_to_graph(LabelledCycle((1, 1, 5, 5, 5)), 5)
     assert g.n == 5
     assert g.get(0, 1) == 1
@@ -402,7 +402,6 @@ def test_scan_matches_a_triple_loop_over_classify_triangle(key):
     # every graph also goes through both ways of finding the third vertices:
     # lookups only (no masks) and, per pair, lookups or the mask OR
     p = ParameterTuple(*key)
-    magic = select_magic_parameter(p).selected
     tables = _scan_tables(p)
     assert key != (3, 1, 2, 10, 9) or tables.counts[2] == 0
     rng = random.Random(sum(key))
@@ -414,7 +413,7 @@ def test_scan_matches_a_triple_loop_over_classify_triangle(key):
                      for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
             rng.shuffle(edges)
             graphs.append(LabelledGraph(n, p.delta, edges))
-        graphs.append(_extend_member(p, magic, rng, LabelledGraph(0, p.delta), n))
+        graphs.append(_extend_member(p, rng, LabelledGraph(0, p.delta), n))
         for g in graphs:
             expected = _reference_scan(p, g)
             assert forbidden_triangles(p, g) == expected
