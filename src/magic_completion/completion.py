@@ -122,103 +122,36 @@ def _set_bits(mask: int):
         mask ^= low
 
 
-class _Masks:
-    """A partial graph under completion as per-label neighbour bitmasks.
-
-    rows[d][u] has bit w set when the pair (u, w) has distance d; known[u]
-    has bit w set when (u, w) has any distance, and always bit u itself.
-    mat is a mutable copy of the graph's label matrix, which the completed
-    graph wraps in the end; present has bit d set when some pair has
-    distance d.
-    """
-
-    def __init__(self, g: LabelledGraph):
-        n = self.n = g.n
-        rows = self.rows = [[0] * n for _ in range(g.delta + 1)]
-        known = self.known = [1 << u for u in range(n)]
-        self.mat = list(map(list, g._mat))
-        present = 0
-        for u, line in enumerate(g._mat):
-            for v in range(u + 1, n):
-                d = line[v]
-                if d:
-                    row = rows[d]
-                    row[u] |= 1 << v
-                    row[v] |= 1 << u
-                    known[u] |= 1 << v
-                    known[v] |= 1 << u
-                    present |= 1 << d
-        self.present = present
-
-    def free(self, u: int) -> int:
-        """Mask of the vertices v > u whose pair with u is unassigned."""
-        return ((1 << self.n) - 1) & ~self.known[u] & ~((1 << u) - 1)
-
-    def witnesses(self, forks):
-        """(u, v, mask) per unassigned pair u < v, in increasing order, whose
-        mask of vertices w closing a fork (a, b) -- d(u, w) = a and
-        d(w, v) = b -- is not empty."""
-        if not forks:
-            return
-        rows = self.rows
-        for u in range(self.n):
-            free = self.free(u)
-            if not free:
-                continue
-            left = [(rows[a][u], rows[b]) for a, b in forks if rows[a][u]]
-            for v in _set_bits(free if left else 0):
-                hits = 0
-                for mask, row in left:
-                    hits |= mask & row[v]
-                if hits:
-                    yield u, v, hits
-
-    def assign(self, u: int, v: int, d: int) -> None:
-        self.mat[u][v] = self.mat[v][u] = d
-        row = self.rows[d]
-        row[u] |= 1 << v
-        row[v] |= 1 << u
-        self.known[u] |= 1 << v
-        self.known[v] |= 1 << u
-        self.present |= 1 << d
+def _label_rows(g: LabelledGraph) -> list[list[int]]:
+    """rows[d][u] has bit w set when g gives the pair (u, w) distance d;
+    rows[0] stays empty."""
+    rows = [[0] * g.n for _ in range(g.delta + 1)]
+    for u, v, d in g.edges():
+        rows[d][u] |= 1 << v
+        rows[d][v] |= 1 << u
+    return rows
 
 
-def _apply_rule(masks: _Masks, target: int, forks) -> list[tuple[int, int, int, str]]:
-    """One simultaneous pass of the rule for `target` over the masks, which
-    are updated in place; `forks` maps each fork, oriented both ways, to its
-    family.
-
-    Returns (u, v, witness, family) per assignment; the witness is the
-    smallest vertex closing a fork.  A fork with a label that no pair carries
-    has all-zero rows and cannot match, so only the others are scanned.
-    Re-scanning must find no further match: a new edge feeding a fork of its
-    own rule would make the single simultaneous pass insufficient, which the
-    staging is meant to exclude, so that is checked every step.
-    """
-    present = masks.present
-    live = [(a, b) for a, b in forks if present >> a & 1 and present >> b & 1]
-    if not live:
+def _matches(rows, known, forks) -> list[tuple[int, int, int]]:
+    """(u, v, w) per unassigned pair u < v, in increasing order, that a fork
+    (a, b) of `forks` closes -- d(u, w) = a and d(w, v) = b -- with w the
+    smallest such vertex.  rows are _label_rows' masks; known[u] has bit w
+    set when (u, w) has a distance, and always bit u itself."""
+    if not forks:
         return []
-    mat = masks.mat
+    n = len(known)
     found = []
-    for u, v, hits in masks.witnesses(live):
-        w = (hits & -hits).bit_length() - 1
-        found.append((u, v, w, forks[mat[u][w], mat[v][w]]))
-    if not found:
-        return found
-    for u, v, _, _ in found:
-        masks.assign(u, v, target)
-    # A pair still free had no witness before the pass, so a witness it has
-    # now uses a new edge, and every new edge carries the target: only forks
-    # with the target label can match.  They come from all of `forks`, since
-    # the pass itself can make the target present.  The magic-distance bounds
-    # keep a scheduled rule's target out of its own forks, so this list is
-    # empty but for hand-built rules.
-    again = [fork for fork in forks if target in fork]
-    for u, v, _ in masks.witnesses(again):
-        raise InvariantViolation(
-            f"cascade within one pass: pair ({u}, {v}) matches target "
-            f"{target} only after this step's assignments")
+    for u in range(n):
+        free = ((1 << n) - 1) & ~known[u] & ~((1 << u) - 1)
+        if not free:
+            continue
+        left = [(rows[a][u], rows[b]) for a, b in forks if rows[a][u]]
+        for v in _set_bits(free if left else 0):
+            hits = 0
+            for mask, row in left:
+                hits |= mask & row[v]
+            if hits:
+                found.append((u, v, (hits & -hits).bit_length() - 1))
     return found
 
 
@@ -232,26 +165,61 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
     steps = _steps(p, magic)
     if g.delta != p.delta:
         raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
-    masks = _Masks(g)
+    n = g.n
+    # rows and known as _matches reads them; mat is the label matrix that the
+    # completed graph wraps; present has bit d set when some pair has distance d
+    rows = _label_rows(g)
+    known = [sum(column, 1 << u) for u, column in enumerate(zip(*rows))]
+    mat = list(map(list, g._mat))
+    present = sum(1 << d for d, row in enumerate(rows) if any(row))
     # tuple.__new__ skips the NamedTuple constructor's keyword handling
     new = tuple.__new__
     records = [new(TraceRecord, (None, (u, v), d, None, FAMILY_INPUT))
                for u, v, d in g.edges()]
     for step, target, forks in steps:
-        for u, v, w, family in _apply_rule(masks, target, forks):
-            records.append(new(TraceRecord, (step, (u, v), target, w, family)))
-    # final fill: one OR per vertex; known[v] would only gain bits free() ignores
-    fill, known, mat = masks.rows[magic], masks.known, masks.mat
-    for u in range(g.n):
-        free = masks.free(u)
+        # one simultaneous pass: every match is found before any assignment.
+        # A fork with a label that no pair carries has all-zero rows and
+        # cannot match, so only the others are scanned.
+        found = _matches(rows, known, [(a, b) for a, b in forks
+                                       if present >> a & 1 and present >> b & 1])
+        if not found:
+            continue
+        row = rows[target]
+        for u, v, w in found:
+            # the pass assigns only unknown pairs, so w's two labels are
+            # those from before the pass
+            records.append(new(TraceRecord, (step, (u, v), target, w,
+                                             forks[mat[u][w], mat[v][w]])))
+            mat[u][v] = mat[v][u] = target
+            row[u] |= 1 << v
+            row[v] |= 1 << u
+            known[u] |= 1 << v
+            known[v] |= 1 << u
+        present |= 1 << target
+        # Re-scanning must find no further match: a new edge feeding a fork
+        # of its own rule would make the single simultaneous pass
+        # insufficient, which the staging is meant to exclude.  A pair still
+        # free had no witness before the pass, so a witness it has now uses a
+        # new edge, and every new edge carries the target: only forks with
+        # the target label can match.  They come from all of `forks`, since
+        # the pass itself can make the target present.  The magic-distance
+        # bounds keep a scheduled rule's target out of its own forks, so this
+        # list is empty but for hand-built rules.
+        for u, v, _ in _matches(rows, known, [fork for fork in forks if target in fork]):
+            raise InvariantViolation(
+                f"cascade within one pass: pair ({u}, {v}) matches target "
+                f"{target} only after this step's assignments")
+    # final fill: one OR per vertex; known is not read again
+    fill = rows[magic]
+    for u in range(n):
+        free = ((1 << n) - 1) & ~known[u] & ~((1 << u) - 1)
         fill[u] |= free
-        known[u] |= free
         for v in _set_bits(free):
             fill[v] |= 1 << u
             mat[u][v] = mat[v][u] = magic
             records.append(new(TraceRecord, (None, (u, v), magic, None, FAMILY_FINAL)))
     completed = LabelledGraph._of(g.delta, mat)
-    bad = tuple(_forbidden_in(_scan_tables(p), masks.rows, completed._mat))
+    bad = tuple(_forbidden_in(_scan_tables(p), rows, completed._mat))
     trace = CompletionTrace(p, magic, tuple(records))
     return CompletionOutcome(completed, trace, not bad, bad)
 
@@ -301,7 +269,7 @@ def shortest_path_complete(delta: int, g: LabelledGraph) -> LabelledGraph:
     """
     if g.delta != delta:
         raise InputError(f"graph delta {g.delta} differs from requested delta {delta}")
-    rows = _Masks(g).rows
+    rows = _label_rows(g)
     # within[k][u]: the vertices whose shortest path from u is at most k long;
     # a path of length at most k starts with an edge u-w of some label d <= k
     # and continues within k - d of w.

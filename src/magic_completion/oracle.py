@@ -22,12 +22,12 @@ from .completion import _steps, magic_complete, shortest_path_complete
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .obstacles import _pmap, _pull_back, _require_jobs, validate_obstacle_hom
 from .params import CASE_III, ParameterTuple, classify_admissible
-from .space import (LabelledCycle, LabelledGraph, allowed_masks, automorphisms,
-                    canonical_cycle, cycle_to_graph, first_forbidden, fork_graph,
-                    is_automorphism, serialize_graph)
+from .space import (LabelledCycle, LabelledGraph, _label_maps, allowed_masks,
+                    automorphisms, canonical_cycle, cycle_to_graph, first_forbidden,
+                    fork_graph, is_automorphism, serialize_graph)
 
-# Missing-pair budgets of the completion enumeration (its default) and of the
-# completability search; every verification sweep runs within them.
+# Missing-pair budgets of the completion enumeration and of the completability
+# search; every verification sweep runs within them.
 ENUM_BUDGET = 12
 BRUTE_BUDGET = 18
 
@@ -123,7 +123,7 @@ def _constraints(p: ParameterTuple, g: LabelledGraph, missing: list[tuple[int, i
     return static, singles, doubles
 
 
-def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int,
+def _search(p: ParameterTuple, g: LabelledGraph, budget: int,
             leaf=None) -> tuple[int, list[list[int]]]:
     """Depth-first search over the completions of g.
 
@@ -143,9 +143,9 @@ def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int,
     # first_forbidden also refuses a graph whose delta is not the tuple's
     if first_forbidden(p, g) is not None:
         return 0, counts
-    if len(missing) > max_missing:
+    if len(missing) > budget:
         raise ResourceLimitError(
-            f"{len(missing)} missing pairs exceed the search budget of {max_missing}")
+            f"{len(missing)} missing pairs exceed the search budget of {budget}")
     assignment = [0] * len(missing)
     if not missing:
         if leaf is not None:
@@ -213,7 +213,7 @@ def _search(p: ParameterTuple, g: LabelledGraph, max_missing: int,
     return total, counts
 
 
-def _completions(p: ParameterTuple, g: LabelledGraph, max_missing: int,
+def _completions(p: ParameterTuple, g: LabelledGraph, budget: int,
                  first: bool) -> list[LabelledGraph]:
     """The completions of g as graphs, in search order; only one if `first`."""
     pairs = g.missing_pairs()
@@ -226,7 +226,7 @@ def _completions(p: ParameterTuple, g: LabelledGraph, max_missing: int,
         out.append(LabelledGraph._of(g.delta, mat))
         return first
 
-    _search(p, g, max_missing, leaf)
+    _search(p, g, budget, leaf)
     return out
 
 
@@ -237,10 +237,10 @@ def brute_force_completable(p: ParameterTuple, g: LabelledGraph) -> LabelledGrap
     return results[0] if results else None
 
 
-def enumerate_all_completions(p: ParameterTuple, g: LabelledGraph,
-                              max_missing: int = ENUM_BUDGET) -> CompletionSet:
-    """Every completion, ordered lexicographically by the assignment vector."""
-    results = _completions(p, g, max_missing, first=False)
+def enumerate_all_completions(p: ParameterTuple, g: LabelledGraph) -> CompletionSet:
+    """Every completion, ordered lexicographically by the assignment vector;
+    ResourceLimitError when g has more than ENUM_BUDGET missing pairs."""
+    results = _completions(p, g, ENUM_BUDGET, first=False)
     return CompletionSet(g, tuple(results))
 
 
@@ -253,10 +253,9 @@ def _value_counts(p: ParameterTuple, g: LabelledGraph) -> tuple[int, list[list[i
 
 
 def enumerate_members(p: ParameterTuple, size: int) -> list[LabelledGraph]:
-    """All complete members of the class on `size` labelled vertices."""
-    empty = LabelledGraph(size, p.delta)
-    return list(enumerate_all_completions(p, empty, max_missing=size * (size - 1) // 2
-                                          ).completions)
+    """All complete members of the class on `size` labelled vertices; like
+    every enumeration, ResourceLimitError over ENUM_BUDGET missing pairs."""
+    return list(enumerate_all_completions(p, LabelledGraph(size, p.delta)).completions)
 
 
 def _optparity(p: ParameterTuple, magic: int, completed: LabelledGraph,
@@ -323,16 +322,6 @@ def _cycle_uncompletable(p: ParameterTuple, labels: tuple[int, ...]) -> bool:
     return brute_force_completable(p, g) is None
 
 
-def _embeddings(a: LabelledGraph, b: LabelledGraph) -> list[tuple[int, ...]]:
-    """All label-preserving injections between complete graphs."""
-    out = []
-    ma, mb = a._mat, b._mat
-    for image in itertools.permutations(range(b.n), a.n):
-        if all(ma[x][y] == mb[image[x]][image[y]] for x, y in a.pairs()):
-            out.append(image)
-    return out
-
-
 def _glue(p: ParameterTuple, a: LabelledGraph, b1: LabelledGraph,
           b2: LabelledGraph, emb1: tuple[int, ...],
           emb2: tuple[int, ...]) -> LabelledGraph:
@@ -395,7 +384,7 @@ def _all_amalgams(p: ParameterTuple):
             sides = []
             for b_size in range(a_size, AMALGAM_PART_SIZE + 1):
                 for b in members[b_size]:
-                    sides.extend((b, emb) for emb in _embeddings(a, b))
+                    sides.extend((b, emb) for emb in _label_maps(a, b, [range(b.n)] * a.n))
             for (b1, e1), (b2, e2) in itertools.product(sides, sides):
                 yield a, b1, b2, e1, e2
 

@@ -313,31 +313,40 @@ def forbidden_triangles(p: ParameterTuple, g: LabelledGraph) -> list[tuple[int, 
 
 
 def automorphisms(g: LabelledGraph) -> list[tuple[int, ...]]:
-    """All label-preserving vertex permutations, in lexicographic order.
-
-    Depth-first over partial permutations: vertex i goes to the smallest
-    unused image whose row of labels has the same multiset as i's and whose
-    labels towards the images of 0..i-1 equal i's labels towards 0..i-1, so a
-    mismatched pair prunes every extension of the prefix.
-    """
+    """All label-preserving vertex permutations, in lexicographic order;
+    vertex i only goes to a vertex whose row of labels has the same multiset
+    as i's."""
     if g.n > AUTOMORPHISM_BUDGET:
         raise ResourceLimitError(
             f"automorphism search on {g.n} vertices exceeds the budget of {AUTOMORPHISM_BUDGET}")
-    n = g.n
-    mat = g._mat
-    profiles = [sorted(row) for row in mat]
-    candidates = [[x for x in range(n) if profiles[x] == profiles[i]] for i in range(n)]
+    profiles = [sorted(row) for row in g._mat]
+    return _label_maps(g, g, [[x for x, other in enumerate(profiles) if other == profile]
+                              for profile in profiles])
+
+
+def _label_maps(a: LabelledGraph, b: LabelledGraph,
+                candidates) -> list[tuple[int, ...]]:
+    """All injections of a's vertices into b's that keep every label and send
+    each vertex i to one of candidates[i], in lexicographic order; each
+    candidates[i] lists its vertices in increasing order.
+
+    Depth-first over partial maps: vertex i goes to each unused candidate
+    whose labels towards the images of 0..i-1 equal i's labels towards
+    0..i-1, so a mismatched pair prunes every extension of the prefix.
+    """
+    n = a.n
+    ma, mb = a._mat, b._mat
     perm = [0] * n
-    used = [False] * n
+    used = [False] * b.n
     out = []
 
     def extend(i: int) -> None:
         if i == n:
             out.append(tuple(perm))
             return
-        row = mat[i]
+        row = ma[i]
         for x in candidates[i]:
-            image = mat[x]
+            image = mb[x]
             if not used[x] and all(row[j] == image[perm[j]] for j in range(i)):
                 perm[i] = x
                 used[x] = True
@@ -345,8 +354,8 @@ def automorphisms(g: LabelledGraph) -> list[tuple[int, ...]]:
                 used[x] = False
 
     extend(0)
-    # extend refers to itself through its closure; unbinding it frees g's
-    # rows now instead of at the next cycle collection
+    # extend refers to itself through its closure; unbinding it frees the
+    # graphs' rows now instead of at the next cycle collection
     del extend
     return out
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from magic_completion import (LabelledGraph, ParameterTuple, RandomScope,
-                              extract_obstacle, magic_complete, oracle,
+                              completion, extract_obstacle, magic_complete, oracle,
                               select_magic_parameter, serialize_graph,
                               triangle_allowed)
 from magic_completion.cli import main
@@ -112,6 +112,19 @@ def test_complete_file_completable(capsys, tmp_path):
     assert lines[1] == "verdict Completable"
     assert "e 0 2 4" in lines
     assert "e 1 3 4" in lines
+
+
+def test_complete_reports_an_invariant_violation(capsys, monkeypatch, tmp_path):
+    # the hand-built rule of test_cascade_within_one_pass_is_refused cascades
+    # within its own pass
+    forks = {(1, 2): "plus", (2, 1): "plus"}
+    monkeypatch.setattr(completion, "_step_table", lambda p, magic: ((1, 2, forks),))
+    path = tmp_path / "g.txt"
+    path.write_text("graph 4 3\ne 0 1 1\ne 1 2 2\ne 0 3 1\n")
+    assert _run(capsys, "complete", "--params", "3", "1", "2", "10", "9",
+                "--file", str(path)) == (
+        2, "", "invariant violation: cascade within one pass: pair (2, 3) matches "
+               "target 2 only after this step's assignments\n")
 
 
 @pytest.mark.parametrize("key", [(5, 3, 3, 14, 13), (5, 3, 3, 16, 13), (4, 1, 4, 14, 13)])

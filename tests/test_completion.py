@@ -12,10 +12,11 @@ from magic_completion import (InputError, InvariantViolation,
                               run_verification_suite, select_magic_parameter,
                               serialize_trace, shortest_path_complete, time_of)
 from magic_completion import completion, oracle
-from magic_completion.completion import (CompletionTrace, _apply_rule, _Masks,
-                                         _step_table, _steps)
+from magic_completion.completion import (CompletionTrace, _label_rows, _step_table,
+                                         _steps)
 from magic_completion.space import MAX_VERTICES
 
+P3 = ParameterTuple(3, 1, 2, 10, 9)
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 
 
@@ -349,22 +350,24 @@ def test_the_scan_reads_the_completed_graphs_masks(monkeypatch, key):
     assert not scanned
 
 
-def test_cascade_within_one_pass_is_refused():
+def test_cascade_within_one_pass_is_refused(monkeypatch):
     # (0, 2) gets 2 through the fork 1-2 at vertex 1, which then closes the
     # same fork for (2, 3) at vertex 0: one simultaneous pass would not do
     forks = {(1, 2): "plus", (2, 1): "plus"}
-    masks = _Masks(LabelledGraph(4, 3, [(0, 1, 1), (1, 2, 2), (0, 3, 1)]))
+    monkeypatch.setattr(completion, "_step_table", lambda p, magic: ((1, 2, forks),))
+    g = LabelledGraph(4, 3, [(0, 1, 1), (1, 2, 2), (0, 3, 1)])
     with pytest.raises(InvariantViolation, match=r"cascade within one pass: pair \(2, 3\)"):
-        _apply_rule(masks, 2, forks)
+        magic_complete(P3, 2, g)
 
 
-def test_cascade_onto_a_target_absent_before_the_pass_is_refused():
+def test_cascade_onto_a_target_absent_before_the_pass_is_refused(monkeypatch):
     # label 2 is nowhere in the input, so only the (1, 1) fork is live in the
     # pass; (0, 2) and (1, 3) get 2, which closes the (1, 2) fork for (2, 3)
     forks = {(1, 1): "plus", (1, 2): "plus", (2, 1): "plus"}
-    masks = _Masks(LabelledGraph(4, 3, [(0, 1, 1), (1, 2, 1), (0, 3, 1)]))
+    monkeypatch.setattr(completion, "_step_table", lambda p, magic: ((1, 2, forks),))
+    g = LabelledGraph(4, 3, [(0, 1, 1), (1, 2, 1), (0, 3, 1)])
     with pytest.raises(InvariantViolation, match=r"cascade within one pass: pair \(2, 3\)"):
-        _apply_rule(masks, 2, forks)
+        magic_complete(P3, 2, g)
 
 
 def _reference_family(p, magic, x, a, b):
@@ -440,25 +443,24 @@ def test_passes_match_a_reference_over_every_fork():
 
 
 def test_one_loop_masks_match_the_graph():
-    # labels 1..4 only, and (0, 1) always missing, so assigning 5 to it adds
-    # a label to `present`
     rng = random.Random(4)
     for n in range(2, 12):
-        g = LabelledGraph(n, 5, [(u, v, rng.randint(1, 4))
+        g = LabelledGraph(n, 5, [(u, v, rng.randint(1, 5))
                                  for u, v in itertools.combinations(range(n), 2)
-                                 if v > 1 and rng.random() < 0.5])
-        masks = _Masks(g)
-        assert masks.mat == [[g.get(u, v) or 0 for v in range(n)] for u in range(n)]
+                                 if rng.random() < 0.5])
+        rows = _label_rows(g)
         for d in range(6):
-            assert masks.rows[d] == [sum(1 << w for w in range(n)
-                                         if w != u and g.get(u, w) == d)
-                                     for u in range(n)]
-        assert masks.known == [sum(1 << w for w in range(n) if w == u or g.get(u, w))
+            assert rows[d] == [sum(1 << w for w in range(n)
+                                   if w != u and g.get(u, w) == d)
                                for u in range(n)]
-        assert masks.present == sum({1 << d for _, _, d in g.edges()})
-        masks.assign(0, 1, 5)
-        assert masks.present == sum({1 << d for _, _, d in g.edges()}) | 1 << 5
-        assert masks.mat[0][1] == masks.mat[1][0] == 5
+    # a pass makes its target label present: no input pair has distance 7,
+    # step 2 sets (0, 2) to 7 through the minus fork (1, 8), and step 4
+    # needs that 7 for its minus fork (7, 1)
+    p = ParameterTuple(8, 5, 5, 22, 21)
+    g = LabelledGraph(4, 8, [(0, 1, 1), (1, 2, 8), (0, 3, 1)])
+    records = magic_complete(p, 5, g).trace.records
+    assert (2, (0, 2), 7, 1, "minus") in records
+    assert (4, (2, 3), 6, 0, "minus") in records
 
 
 def test_magic_complete_requires_admissible_tuple():

@@ -325,6 +325,44 @@ def test_m_edge_provenance_on_uncompletable_input():
         "obstacle-extraction": 1}
 
 
+def test_provenance_names_a_derived_magic_edge_in_a_bad_triangle():
+    # (5, 5, 3) has perimeter 13 >= C1 = 13 and odd, so it is forbidden, and
+    # its magic edge (1, 2) is not an input edge
+    g = LabelledGraph(3, 5, [(0, 1, 5), (0, 2, 5)])
+    completed = LabelledGraph(3, 5, [(0, 1, 5), (0, 2, 5), (1, 2, 3)])
+    assert oracle._provenance_details(P5, 3, g, completed) == [
+        "triangle (0, 1, 2) uses derived magic edge (1, 2)"]
+
+
+def test_instance_reports_a_permutation_lost_by_the_engine(monkeypatch):
+    # the staged completion is checked before the shortest-path one
+    monkeypatch.setattr(oracle, "is_automorphism", lambda g, perm: False)
+    g = LabelledGraph(3, 5, [(0, 1, 1), (0, 2, 1)])
+    report = _check(P5, 3, g)["automorphism-preservation"]
+    assert (report.instances, report.stats) == (1, {"input-automorphisms": 2})
+    assert report.failures == [
+        Failure(serialize_graph(g), "permutation (0, 2, 1) lost by staged completion")]
+
+
+def test_instance_reports_an_invalid_obstacle_hom(monkeypatch):
+    monkeypatch.setattr(oracle, "validate_obstacle_hom", lambda g, obstacle: False)
+    g = cycle_to_graph(LabelledCycle((1, 1, 5, 5, 5)), 5)
+    report = _check(P5, 3, g)["obstacle-extraction"]
+    assert report.instances == 1
+    assert report.failures == [
+        Failure(serialize_graph(g), "invalid homomorphism for obstacle (1, 1, 5, 5, 5)")]
+
+
+def test_instance_skips_an_obstacle_check_over_budget(monkeypatch):
+    def over_budget(p, labels):
+        raise ResourceLimitError("over budget")
+
+    monkeypatch.setattr(oracle, "_cycle_uncompletable", over_budget)
+    report = _check(P5, 3, cycle_to_graph(LabelledCycle((1, 1, 5, 5, 5)), 5))[
+        "obstacle-extraction"]
+    assert (report.instances, report.failures, report.stats) == (0, [], {"skipped": 1})
+
+
 def test_package_exports():
     assert "check_instance" in magic_completion.__all__
     assert not any(isinstance(getattr(magic_completion, name), types.ModuleType)
@@ -353,6 +391,18 @@ def test_members_enumeration():
     assert all(len(t.edges()) == 3 for t in triples)
     # delta^3 orderings minus the labellings of the one forbidden triple
     assert len(triples) == 27 - 3
+
+
+def test_members_enumeration_keeps_the_search_budget():
+    # 10 missing pairs on 5 vertices, 15 on 6: over ENUM_BUDGET, the search
+    # is refused before it starts
+    p = ParameterTuple(3, 1, 2, 10, 9)
+    assert len(enumerate_members(p, 5)) == 8071
+    for size in (6, 7):
+        pairs = size * (size - 1) // 2
+        with pytest.raises(ResourceLimitError, match=(
+                f"^{pairs} missing pairs exceed the search budget of {oracle.ENUM_BUDGET}$")):
+            enumerate_members(p, size)
 
 
 def test_exhaustive_scope_size():
@@ -409,6 +459,20 @@ def test_suite_random_stats_are_pinned():
         "clause1": 160208, "clause2": 64752, "clause3": 104}
     assert by_name["parity"].stats == {"parity-exception": 0}
     assert by_name["automorphism-preservation"].stats == {"input-automorphisms": 90}
+
+
+def test_suite_counts_parity_exceptions():
+    # (5,3,5,14,15) with M = 4 meets the parity exception's condition: case
+    # III, C = 2 delta + k1 + 1 != 2 k1 + 2 k2 + 1 and M > k1 > 1.  Every
+    # pair the engine sets to k1 whose other completions differ in parity is
+    # counted here, and would fail the parity check without the exception
+    by_name = {r.name: r for r in run_verification_suite(
+        ParameterTuple(5, 3, 5, 14, 15), 4, RandomScope(150, seed=1))}
+    assert all(r.passed for r in by_name.values())
+    assert (by_name["parity"].instances, by_name["parity"].stats) == (
+        107, {"parity-exception": 3760})
+    assert by_name["optimality"].stats == {
+        "clause1": 1942306, "clause2": 2516994, "clause3": 0}
 
 
 def test_suite_skips_automorphisms_of_graphs_over_budget():
