@@ -82,61 +82,22 @@ def format_report(report: PropertyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _constraints(p: ParameterTuple, g: LabelledGraph, missing: list[tuple[int, int]]):
-    """(static, singles, doubles): per missing pair, what limits its values
-    once the earlier missing pairs are filled; masks is allowed_masks(p).
-
-    static[i] is the mask of values that the given edges allow for the i-th
-    pair.  singles[i] lists (j, col) for each triangle whose other sides are
-    a given edge and the earlier missing pair j: col[value of j] masks the
-    i-th pair.  doubles[i] lists (j, k) for each triangle whose other sides
-    are the earlier missing pairs j and k: masks[value of j][value of k]
-    masks the i-th pair.  Triangles through a later missing pair constrain
-    nothing yet and are left out.
-    """
-    masks = allowed_masks(p)
-    mat = g._mat
-    # index[u][w]: the position of the pair (u, w) in `missing`, if it is there
-    index = [[len(missing)] * g.n for _ in range(g.n)]
-    for i, (u, v) in enumerate(missing):
-        index[u][v] = index[v][u] = i
-    static, singles, doubles = [], [], []
-    for i, (u, v) in enumerate(missing):
-        dom, one, two = masks[0][0], [], []
-        for w in range(g.n):
-            if w == u or w == v:
-                continue
-            a, b = mat[u][w], mat[v][w]
-            j, k = index[u][w], index[v][w]
-            if a and b:
-                dom &= masks[a][b]
-            elif a and k < i:
-                one.append((k, masks[a]))
-            elif b and j < i:
-                # masks[x][b] == masks[b][x]: the bounds ignore the side order
-                one.append((j, masks[b]))
-            elif not a and not b and j < i and k < i:
-                two.append((j, k))
-        static.append(dom)
-        singles.append(tuple(one))
-        doubles.append(tuple(two))
-    return static, singles, doubles
-
-
 def _search(p: ParameterTuple, g: LabelledGraph, budget: int,
             leaf=None) -> tuple[int, list[list[int]]]:
     """Depth-first search over the completions of g.
 
-    The pairs of g.missing_pairs() are filled in that order, each with the
-    values 1..delta, in increasing order, that keep every triangle through the
-    pair allowed.  If given, leaf(assignment) runs at every completion, with
-    the values in missing-pair order, and the search stops when it returns
-    True.  Returns (completions, counts): the number of completions visited,
-    and counts[i][d], the number of them that give the i-th pair the value d.
-    Each node adds up the completions below it, so no completion's
-    assignment is walked to count it.  Without a leaf no node fills the last
-    pair: its allowed values are tallied per distinct mask and spread over
-    its counts once the search is done.
+    The pairs of g.missing_pairs() are filled in that order, in one list copy
+    of g's label matrix, each with the values 1..delta, in increasing order,
+    that keep every triangle through the pair allowed: the AND of
+    masks[mat[u][w]][mat[v][w]] over its third vertices w, where a pair not
+    yet filled reads 0 and allows every value.  If given, leaf(mat) runs at
+    every completion, with the filled matrix, and the search stops when it
+    returns True.  Returns (completions, counts): the number of completions
+    visited, and counts[i][d], the number of them that give the i-th pair the
+    value d.  Each node adds up the completions below it, so no completion
+    is walked to count it.  Without a leaf no node fills the last pair: its
+    allowed values are tallied per distinct mask and spread over its counts
+    once the search is done.
     """
     missing = g.missing_pairs()
     counts = [[0] * (p.delta + 1) for _ in missing]
@@ -146,15 +107,15 @@ def _search(p: ParameterTuple, g: LabelledGraph, budget: int,
     if len(missing) > budget:
         raise ResourceLimitError(
             f"{len(missing)} missing pairs exceed the search budget of {budget}")
-    assignment = [0] * len(missing)
+    mat = _padded(g, g.n)
     if not missing:
         if leaf is not None:
-            leaf(assignment)
+            leaf(mat)
         return 1, counts
     masks = allowed_masks(p)
-    static, singles, doubles = _constraints(p, g, missing)
     values = range(1, p.delta + 1)
-    wanted = sum(1 << d for d in values)
+    every = masks[0][0]
+    thirds = [[w for w in range(g.n) if w != u and w != v] for u, v in missing]
     deepest = len(missing) - 1
     tally = leaf is None
     # the last pair's allowed values -> the number of nodes that reached them
@@ -166,6 +127,8 @@ def _search(p: ParameterTuple, g: LabelledGraph, budget: int,
         values are the bits of dom."""
         nonlocal stop
         row = counts[idx]
+        u, v = missing[idx]
+        ru, rv = mat[u], mat[v]
         found = 0
         if idx == deepest:
             # every allowed value completes the graph; no pair below reads it
@@ -174,35 +137,41 @@ def _search(p: ParameterTuple, g: LabelledGraph, budget: int,
                     row[d] += 1
                     found += 1
                     if not tally:
-                        assignment[idx] = d
-                        if leaf(assignment):
+                        ru[v] = rv[u] = d
+                        if leaf(mat):
                             stop = True
                             break
+            ru[v] = rv[u] = 0
             return found
         nxt = idx + 1
-        base, one, two = static[nxt], singles[nxt], doubles[nxt]
+        x, y = missing[nxt]
+        rx, ry = mat[x], mat[y]
+        others = thirds[nxt]
         for d in values:
             if dom >> d & 1:
-                assignment[idx] = d
-                sub = base
-                for j, col in one:
-                    sub &= col[assignment[j]]
-                for j, k in two:
-                    sub &= masks[assignment[j]][assignment[k]]
+                ru[v] = rv[u] = d
+                sub = every
+                for w in others:
+                    sub &= masks[rx[w]][ry[w]]
                 if not sub:
                     continue
                 if tally and nxt == deepest:
                     last[sub] = last.get(sub, 0) + 1
-                    below = (sub & wanted).bit_count()
+                    below = sub.bit_count()
                 else:
                     below = descend(nxt, sub)
                 row[d] += below
                 found += below
                 if stop:
                     break
+        ru[v] = rv[u] = 0
         return found
 
-    total = descend(0, static[0])
+    u, v = missing[0]
+    dom = every
+    for w in thirds[0]:
+        dom &= masks[mat[u][w]][mat[v][w]]
+    total = descend(0, dom)
     # descend refers to itself through its closure; unbinding it frees the
     # search state now instead of at the next cycle collection
     del descend
@@ -216,13 +185,9 @@ def _search(p: ParameterTuple, g: LabelledGraph, budget: int,
 def _completions(p: ParameterTuple, g: LabelledGraph, budget: int,
                  first: bool) -> list[LabelledGraph]:
     """The completions of g as graphs, in search order; only one if `first`."""
-    pairs = g.missing_pairs()
     out: list[LabelledGraph] = []
 
-    def leaf(assignment) -> bool:
-        mat = list(map(list, g._mat))
-        for (u, v), d in zip(pairs, assignment):
-            mat[u][v] = mat[v][u] = d
+    def leaf(mat) -> bool:
         out.append(LabelledGraph._of(g.delta, mat))
         return first
 
@@ -242,14 +207,6 @@ def enumerate_all_completions(p: ParameterTuple, g: LabelledGraph) -> Completion
     ResourceLimitError when g has more than ENUM_BUDGET missing pairs."""
     results = _completions(p, g, ENUM_BUDGET, first=False)
     return CompletionSet(g, tuple(results))
-
-
-def _value_counts(p: ParameterTuple, g: LabelledGraph) -> tuple[int, list[list[int]]]:
-    """_search's (completions, counts) of g within ENUM_BUDGET: the column
-    counts of enumerate_all_completions without building a graph per
-    completion.  The total is exact for a complete g too, which has no
-    columns."""
-    return _search(p, g, ENUM_BUDGET)
 
 
 def enumerate_members(p: ParameterTuple, size: int) -> list[LabelledGraph]:
@@ -530,7 +487,7 @@ def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
     tally = None
     if outcome.completable:
         try:
-            tally = _value_counts(p, g)
+            tally = _search(p, g, ENUM_BUDGET)
         except ResourceLimitError:
             pass
     try:

@@ -83,6 +83,16 @@ def test_forks_golden(capsys):
     assert out == _golden("forks_5_3_3_16_13.txt")
 
 
+def test_verify_exhaustive_stats_golden(capsys):
+    # the PROPERTY lines on stdout and the clause, parity-exception and
+    # automorphism stats on stderr, over all 4096 graphs on 4 vertices
+    code, out, err = _run(capsys, "verify", "--params", "3", "1", "2", "10", "9",
+                          "--exhaustive", "4", "--stats")
+    assert code == 0
+    assert out == _golden("verify_exhaustive4_3_1_2_10_9.txt")
+    assert err == _golden("verify_exhaustive4_3_1_2_10_9.stats.txt")
+
+
 def test_forks_magic_override(capsys):
     code, out, _ = _run(capsys, "forks", "--params", "3", "1", "3", "10", "11",
                         "--magic", "3")

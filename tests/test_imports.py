@@ -1,5 +1,6 @@
-"""Every module of the package uses each name that it imports, and the
-package reads each private module-level name that it defines.
+"""Every module of the package uses each name that it imports, the
+package reads each private module-level name that it defines, and the
+oracle's ground truth reads nothing that the oracle imports from the engine.
 
 __init__.py is left out of the import check: it imports names to re-export
 them.
@@ -85,3 +86,46 @@ def test_package_reads_every_private_name():
     package = Path(magic_completion.__file__).parent
     assert _unread_privates({path.name: path.read_text()
                              for path in sorted(package.glob("*.py"))}) == []
+
+
+# The oracle's ground truth: what its equivalence checks compare the engine
+# against.  An oracle that ran the engine would make those checks vacuous.
+GROUND_TRUTH = ("_search", "_completions", "brute_force_completable",
+                "enumerate_all_completions", "enumerate_members", "_cycle_uncompletable",
+                "_extend_member", "_random_instance")
+
+
+def _engine_reads(source: str, roots) -> list[str]:
+    """"function:name" per name that `source` imports from .completion and
+    that a function of `roots`, or a module-level function they reach, reads."""
+    tree = ast.parse(source)
+    engine = {alias.asname or alias.name for node in tree.body
+              if isinstance(node, ast.ImportFrom) and node.level == 1
+              and node.module == "completion" for alias in node.names}
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert set(roots) <= set(functions)
+    reached, stack = [], list(roots)
+    while stack:
+        name = stack.pop()
+        if name in reached:
+            continue
+        reached.append(name)
+        stack += [node.id for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Name) and node.id in functions]
+    return sorted(f"{name}:{node.id}" for name in reached
+                  for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Name) and node.id in engine)
+
+
+def test_the_check_finds_a_search_that_runs_the_engine():
+    source = ("from .completion import _steps, magic_complete\n"
+              "def _search(p, g):\n    return _leaf(p, g)\n"
+              "def _leaf(p, g):\n    return magic_complete(p, 3, g).completable\n"
+              "def _optparity(p):\n    return _steps(p, 3)\n")
+    assert _engine_reads(source, ["_search"]) == ["_leaf:magic_complete"]
+
+
+def test_oracle_ground_truth_does_not_run_the_engine():
+    source = (Path(magic_completion.__file__).parent / "oracle.py").read_text()
+    assert _engine_reads(source, GROUND_TRUTH) == []

@@ -20,9 +20,10 @@ from magic_completion import (ExhaustiveScope, Failure, InputError,
                               run_verification_suite, serialize_graph,
                               shortest_path_complete)
 from magic_completion import oracle
-from magic_completion.oracle import (PROPERTY_ORDER, _value_counts,
+from magic_completion.oracle import (ENUM_BUDGET, PROPERTY_ORDER, _search,
                                      scope_instances)
-from magic_completion.params import eligible_magic, enumerate_admissible
+from magic_completion.params import (classify_admissible, eligible_magic,
+                                     enumerate_admissible)
 from magic_completion.space import allowed_masks, classify_triangle, is_member
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
@@ -60,9 +61,9 @@ def test_forbidden_input_has_no_completion():
 
 def test_first_completion_search_stops():
     # a leaf action that returns True ends the whole search, at every depth
-    leaves = []
-    total, _ = oracle._search(P5, LabelledGraph(4, 5), 6,
-                              lambda assignment: leaves.append(list(assignment)) or True)
+    g, leaves = LabelledGraph(4, 5), []
+    total, _ = _search(P5, g, 6, lambda mat: leaves.append(
+        [mat[u][v] for u, v in g.missing_pairs()]) or True)
     assert (total, leaves) == (1, [[1, 1, 1, 2, 2, 2]])
 
 
@@ -93,14 +94,14 @@ def test_value_counts_are_completion_columns(n):
             expected = [[sum(h.get(u, v) == d for h in completions)
                          for d in range(p.delta + 1)]
                         for u, v in g.missing_pairs()]
-            assert _value_counts(p, g) == (len(completions), expected)
+            assert _search(p, g, ENUM_BUDGET) == (len(completions), expected)
 
 
 @pytest.mark.parametrize("p", [P3, ParameterTuple(3, 1, 2, 10, 9),
                                ParameterTuple(4, 1, 4, 14, 13)],
                          ids=["3-1-3", "3-1-2", "4-1-4"])
 def test_search_matches_every_assignment(p):
-    # the search prunes on the per-pair constraint lists; the reference
+    # the search prunes on the label matrix it fills; the reference
     # tries every assignment of the missing pairs and checks all triangles
     cube = _cube(p)
     magic = min(eligible_magic(p))
@@ -118,7 +119,7 @@ def test_search_matches_every_assignment(p):
         found = [tuple(h.get(u, v) for u, v in pairs)
                  for h in enumerate_all_completions(p, g).completions]
         assert found == expected
-        assert _value_counts(p, g) == (len(expected), [
+        assert _search(p, g, ENUM_BUDGET) == (len(expected), [
             [sum(values[i] == d for values in expected) for d in range(p.delta + 1)]
             for i in range(len(pairs))])
 
@@ -130,7 +131,7 @@ def test_value_counts_on_a_delta_32_fork():
     cube = _cube(p)
     for a, b in ((1, 1), (1, 32), (5, 20), (32, 32)):
         allowed = [0] + [int(cube[a][b][d]) for d in range(1, 33)]
-        assert _value_counts(p, fork_graph(a, b, 32)) == (sum(allowed), [allowed])
+        assert _search(p, fork_graph(a, b, 32), ENUM_BUDGET) == (sum(allowed), [allowed])
     path = LabelledGraph(4, 32, [(0, 1, 3), (1, 2, 30), (2, 3, 17)])
     pairs = path.missing_pairs()
     base = {(u, v): d for u, v, d in path.edges()}
@@ -141,7 +142,7 @@ def test_value_counts_on_a_delta_32_fork():
                for u, v, w in itertools.combinations(range(4), 3)):
             expected.append(values)
     assert expected
-    assert _value_counts(p, path) == (len(expected), [
+    assert _search(p, path, ENUM_BUDGET) == (len(expected), [
         [sum(values[i] == d for values in expected) for d in range(33)]
         for i in range(len(pairs))])
 
@@ -154,6 +155,45 @@ def test_engine_matches_oracle_on_forks():
                        for h in enumerate_all_completions(P5, g).completions}
             chosen = magic_complete(P5, 3, g).completed.get(0, 2)
             assert chosen in allowed
+
+
+def _permuted(g, perm):
+    return LabelledGraph(g.n, g.delta, [(perm[u], perm[v], d) for u, v, d in g.edges()])
+
+
+def test_engine_matches_the_oracle_over_the_catalogue():
+    # every admissible (tuple, magic) pair of delta 3..8, on seeded graphs:
+    # the engine's verdict is the search's, it does not depend on which
+    # eligible value is used, and both completions commute with relabelling
+    rng = random.Random(1)
+    pairs = [(row.params, magic) for delta in range(3, 9)
+             for row in enumerate_admissible(delta)
+             for magic in sorted(eligible_magic(row.params))]
+    assert collections.Counter(classify_admissible(p).case_tag for p, _ in pairs) == {
+        "III": 656, "II-A": 10, "II-B": 3}
+    completable = 0
+    for p, magic in pairs:
+        for _ in range(4):
+            g = oracle._random_instance(p, rng, LabelledGraph(rng.randint(3, 5), p.delta))
+            verdict = magic_complete(p, magic, g).completable
+            assert verdict == (brute_force_completable(p, g) is not None), (p, magic, g.edges())
+            completable += verdict
+    assert completable == 2121
+    multi = list(dict.fromkeys(p for p, _ in pairs if len(eligible_magic(p)) > 1))
+    assert len(multi) == 223
+    for p in multi:
+        for _ in range(4):
+            g = oracle._random_instance(p, rng, LabelledGraph(rng.randint(3, 6), p.delta))
+            assert len({magic_complete(p, magic, g).completable
+                        for magic in eligible_magic(p)}) == 1, (p, g.edges())
+    for p, magic in pairs:
+        g = oracle._random_instance(p, rng, LabelledGraph(rng.randint(3, 6), p.delta))
+        perm = rng.sample(range(g.n), g.n)
+        moved = _permuted(g, perm)
+        assert magic_complete(p, magic, moved).completed == \
+            _permuted(magic_complete(p, magic, g).completed, perm), (p, magic, g.edges())
+        assert shortest_path_complete(p.delta, moved) == \
+            _permuted(shortest_path_complete(p.delta, g), perm), (p, g.edges())
 
 
 def test_optimality_on_example():
@@ -206,7 +246,7 @@ def test_false_completable_verdict_is_reported(monkeypatch, labels):
 
 def test_complete_member_is_oracle_equivalent():
     g = magic_complete(P5, 3, cycle_to_graph(LabelledCycle((1, 5, 5, 5)), 5)).completed
-    assert _value_counts(P5, g) == (1, [])
+    assert _search(P5, g, ENUM_BUDGET) == (1, [])
     reports = _check(P5, 3, g)
     assert reports["oracle-equivalence"].instances == 1
     assert all(r.passed for r in reports.values())
@@ -459,6 +499,25 @@ def test_suite_random_stats_are_pinned():
         "clause1": 160208, "clause2": 64752, "clause3": 104}
     assert by_name["parity"].stats == {"parity-exception": 0}
     assert by_name["automorphism-preservation"].stats == {"input-automorphisms": 90}
+
+
+@pytest.mark.parametrize("key, magic, count, instances, optimality, clauses, auts", [
+    ((5, 3, 3, 14, 13), 3, 200, 215, 125, (1373650, 600439), 283),
+    ((8, 5, 5, 22, 21), 5, 60, 96, 67, (10942045, 6784324), 114)],
+    ids=["5-3-3-14-13", "8-5-5-22-21"])
+def test_suite_ii_a_stats_are_pinned(key, magic, count, instances, optimality,
+                                     clauses, auts):
+    # two case II-A tuples, which no other sweep test reaches
+    p = ParameterTuple(*key)
+    assert classify_admissible(p).case_tag == "II-A"
+    by_name = {r.name: r for r in run_verification_suite(p, magic, RandomScope(count, seed=1))}
+    assert all(r.passed for r in by_name.values())
+    assert by_name["oracle-equivalence"].instances == instances
+    assert by_name["optimality"].instances == optimality
+    assert by_name["optimality"].stats == {
+        "clause1": clauses[0], "clause2": clauses[1], "clause3": 0}
+    assert by_name["parity"].stats == {"parity-exception": 0}
+    assert by_name["automorphism-preservation"].stats == {"input-automorphisms": auts}
 
 
 def test_suite_counts_parity_exceptions():

@@ -510,6 +510,7 @@ PARSE_CORPUS = [
     "graph 4 5\nedge 0 1 2\n",
     "graph 4 5\ne 0 1\n",
     "graph 4 5\ne 0 1 2 3\n",
+    "graph 4 5\ne 0 1 2 # note\n",
     "graph 4 5\ne 0 x 2\n",
     "graph 4 5\ne 0 1 2.5\n",
     "graph 4 5\ne 0 1 0x2\n",
