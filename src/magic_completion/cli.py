@@ -23,7 +23,7 @@ from .params import (ParameterTuple, acceptability_failures,
                      classify_admissible, clause_evaluations,
                      enumerate_admissible, format_catalogue_row,
                      select_magic_parameter)
-from .space import (DECIMAL, cycle_to_graph, fork_graph, parse_cycle,
+from .space import (DECIMAL, _first_triangle, cycle_to_graph, fork_graph, parse_cycle,
                     parse_graph, serialize_cycle, serialize_graph)
 
 
@@ -111,7 +111,7 @@ def _cmd_complete(args) -> int:
         print(_forbidden_lines(outcome))
     marks.append(time.perf_counter())
     if args.obstacle and not outcome.completable:
-        obstacle = _pull_back(outcome.trace, outcome.forbidden_triangles[0])
+        obstacle = _pull_back(outcome.trace, _first_triangle(outcome.forbidden_hits))
         print("obstacle " + serialize_cycle(obstacle.cycle))
         print("hom " + " ".join(map(str, obstacle.hom)))
         marks.append(time.perf_counter())
@@ -121,20 +121,22 @@ def _cmd_complete(args) -> int:
 
 
 def _forbidden_lines(outcome) -> str:
-    """One `forbidden u v w = a b c` line per forbidden triangle.  The
-    triangles come sorted, so each run of equal (u, v) formats its head and
-    its ` = a ` once and then one line per w, over the completed graph's
-    labels as text."""
+    """One `forbidden u v w = a b c` line per forbidden triangle, read off
+    the run's hit masks: each pair (u, v) formats its head and its ` = a `
+    once and then one line per set bit w, lowest first, over the completed
+    graph's labels as text."""
     text = DECIMAL
     labels = [[text[d] for d in row] for row in outcome.completed._mat]
     lines = []
-    run_u = run_v = -1
-    for u, v, w in outcome.forbidden_triangles:
-        if v != run_v or u != run_u:
-            run_u, run_v = u, v
-            head, mid = f"forbidden {text[u]} {text[v]} ", f" = {labels[u][v]} "
-            at_u, at_v = labels[u], labels[v]
-        lines.append(f"{head}{text[w]}{mid}{at_u[w]} {at_v[w]}")
+    append = lines.append
+    for u, v, hits in outcome.forbidden_hits:
+        at_u, at_v = labels[u], labels[v]
+        head, mid = f"forbidden {text[u]} {text[v]} ", f" = {at_u[v]} "
+        while hits:
+            low = hits & -hits
+            w = low.bit_length() - 1
+            append(f"{head}{text[w]}{mid}{at_u[w]} {at_v[w]}")
+            hits ^= low
     return "\n".join(lines)
 
 
@@ -142,12 +144,15 @@ def _complete_stats(outcome, marks) -> str:
     """The `complete --stats` lines: assignments per step and per family,
     counted from the trace, forbidden triangles and each stage's wall time."""
     trace = outcome.trace
-    by_step = collections.Counter((record.step, record.family) for record in trace.records)
-    by_family = collections.Counter(record.family for record in trace.records)
+    by_step = collections.Counter((record.step, record.family) for record in trace.derived)
+    by_family = collections.Counter(record.family for record in trace.derived)
+    by_family[FAMILY_INPUT] = len(trace.graph.edges())
+    by_family[FAMILY_FINAL] = sum(mask.bit_count() for mask in trace.final)
+    forbidden = sum(hits.bit_count() for _, _, hits in outcome.forbidden_hits)
     lines = [f"step={step} target={target}" + "".join(f" {f}={by_step[step, f]}" for f in _DERIVED)
              for step, target, _ in _steps(trace.params, trace.magic)]
     lines.append("".join(f"{f}={by_family[f]} " for f in (FAMILY_INPUT, *_DERIVED, FAMILY_FINAL))
-                 + f"forbidden={len(outcome.forbidden_triangles)}")
+                 + f"forbidden={forbidden}")
     lines.append(" ".join(f"{stage}_s={end - start:.6f}" for stage, start, end
                           in zip(("read", "complete", "format", "obstacle"), marks, marks[1:])))
     return "".join(f"stats complete {line}\n" for line in lines)

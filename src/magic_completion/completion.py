@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
 from .params import ParameterTuple, eligible_magic
-from .space import DECIMAL, LabelledGraph, _forbidden_in, _scan_tables
+from .space import (DECIMAL, LabelledGraph, _forbidden_in, _scan_tables, _set_bits,
+                    _triangles, allowed_masks)
 
 FAMILY_PLUS = "plus"
 FAMILY_MINUS = "minus"
@@ -81,6 +82,10 @@ def _step_table(p: ParameterTuple,
         steps.append((time_of(x, magic, delta), x, dict(sorted(forks))))
     if len({step for step, _, _ in steps}) != len(steps):
         raise InvariantViolation(f"time collision in schedule for {p.key()} M={magic}")
+    # the engine's scan skips every triangle with two sides M
+    masks = allowed_masks(p)
+    if masks[magic][magic] != masks[0][0]:
+        raise InvariantViolation(f"a triangle with two sides {magic} is forbidden for {p.key()}")
     return tuple(sorted(steps, key=lambda entry: entry[0]))
 
 
@@ -98,9 +103,26 @@ class TraceRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class CompletionTrace:
+    """What one run decided: the input graph, the derived records in step
+    order, and final[u], whose bit v > u is set when the final fill gave the
+    pair (u, v) the magic value."""
+
     params: ParameterTuple
     magic: int
-    records: tuple[TraceRecord, ...]
+    graph: LabelledGraph
+    derived: tuple[TraceRecord, ...]
+    final: tuple[int, ...]
+
+    @cached_property
+    def records(self) -> tuple[TraceRecord, ...]:
+        """Every pair's record: the input pairs, the derived records, then
+        the final fill, each in pair order."""
+        magic = self.magic
+        return (*[TraceRecord(None, (u, v), d, None, FAMILY_INPUT)
+                  for u, v, d in self.graph.edges()],
+                *self.derived,
+                *[TraceRecord(None, (u, v), magic, None, FAMILY_FINAL)
+                  for u, mask in enumerate(self.final) for v in _set_bits(mask)])
 
     def by_pair(self) -> dict[tuple[int, int], TraceRecord]:
         return {record.pair: record for record in self.records}
@@ -108,18 +130,19 @@ class CompletionTrace:
 
 @dataclass(frozen=True)
 class CompletionOutcome:
+    """A run's completed graph, trace and certificate.  forbidden_hits holds
+    (u, v, hits) per pair u < v that closes a forbidden triangle, in sorted
+    order, with bit w of hits set when (u, v, w) is one."""
+
     completed: LabelledGraph
     trace: CompletionTrace
     completable: bool
-    forbidden_triangles: tuple[tuple[int, int, int], ...]
+    forbidden_hits: tuple[tuple[int, int, int], ...]
 
-
-def _set_bits(mask: int):
-    """Positions of the set bits of a non-negative int, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    @cached_property
+    def forbidden_triangles(self) -> tuple[tuple[int, int, int], ...]:
+        """The forbidden triangles (u, v, w), u < v < w, in sorted order."""
+        return tuple(_triangles(self.forbidden_hits))
 
 
 def _label_rows(g: LabelledGraph) -> list[list[int]]:
@@ -174,8 +197,7 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
     present = sum(1 << d for d, row in enumerate(rows) if any(row))
     # tuple.__new__ skips the NamedTuple constructor's keyword handling
     new = tuple.__new__
-    records = [new(TraceRecord, (None, (u, v), d, None, FAMILY_INPUT))
-               for u, v, d in g.edges()]
+    derived = []
     for step, target, forks in steps:
         # one simultaneous pass: every match is found before any assignment.
         # A fork with a label that no pair carries has all-zero rows and
@@ -188,7 +210,7 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
         for u, v, w in found:
             # the pass assigns only unknown pairs, so w's two labels are
             # those from before the pass
-            records.append(new(TraceRecord, (step, (u, v), target, w,
+            derived.append(new(TraceRecord, (step, (u, v), target, w,
                                              forks[mat[u][w], mat[v][w]])))
             mat[u][v] = mat[v][u] = target
             row[u] |= 1 << v
@@ -209,19 +231,22 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
             raise InvariantViolation(
                 f"cascade within one pass: pair ({u}, {v}) matches target "
                 f"{target} only after this step's assignments")
-    # final fill: one OR per vertex; known is not read again
+    # final fill: one OR per vertex and one pass over its matrix row.  known
+    # is symmetric, so a vertex's free mask holds its free pairs on both
+    # sides; final keeps the ones above it.  known is not read again.
     fill = rows[magic]
-    for u in range(n):
-        free = ((1 << n) - 1) & ~known[u] & ~((1 << u) - 1)
-        fill[u] |= free
-        for v in _set_bits(free):
-            fill[v] |= 1 << u
-            mat[u][v] = mat[v][u] = magic
-            records.append(new(TraceRecord, (None, (u, v), magic, None, FAMILY_FINAL)))
+    final = []
+    for u, row in enumerate(mat):
+        free = ((1 << n) - 1) & ~known[u]
+        if free:
+            fill[u] |= free
+            mat[u] = [d or magic for d in row]
+            mat[u][u] = 0
+        final.append(free & -(2 << u))
     completed = LabelledGraph._of(g.delta, mat)
-    bad = tuple(_forbidden_in(_scan_tables(p), rows, completed._mat))
-    trace = CompletionTrace(p, magic, tuple(records))
-    return CompletionOutcome(completed, trace, not bad, bad)
+    hits = tuple(_forbidden_in(_scan_tables(p), rows, completed._mat, magic))
+    trace = CompletionTrace(p, magic, g, tuple(derived), tuple(final))
+    return CompletionOutcome(completed, trace, not hits, hits)
 
 
 # DECIMAL keyed by number: a number outside the table raises KeyError here,
@@ -250,14 +275,12 @@ def serialize_trace(trace: CompletionTrace) -> str:
 def _trace_text(trace: CompletionTrace, text) -> str:
     p = trace.params
     lines = [f"magic M={trace.magic} params {p.delta} {p.k1} {p.k2} {p.c0} {p.c1}"]
-    finals = []
-    for step, (u, v), value, witness, family in trace.records:
-        if family == FAMILY_FINAL:
-            finals.append(f"final {text[u]} {text[v]} = {text[value]}")
-        elif family in _DERIVED:
-            lines.append(f"step {text[step]} set {text[u]} {text[v]} = {text[value]} "
-                         f"witness {text[witness]} via {family}")
-    lines.extend(finals)
+    lines.extend([f"step {text[step]} set {text[u]} {text[v]} = {text[value]} "
+                  f"witness {text[witness]} via {family}"
+                  for step, (u, v), value, witness, family in trace.derived])
+    tail = f" = {text[trace.magic]}"
+    lines.extend([f"final {text[u]} {text[v]}{tail}"
+                  for u, mask in enumerate(trace.final) if mask for v in _set_bits(mask)])
     return "\n".join(lines) + "\n"
 
 

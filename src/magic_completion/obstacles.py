@@ -16,11 +16,10 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 
-from .completion import (_DERIVED, FAMILY_FINAL, FAMILY_INPUT, CompletionTrace,
-                         magic_complete)
+from .completion import CompletionTrace, magic_complete
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .params import ParameterTuple
-from .space import (LabelledCycle, LabelledGraph, canonical_cycle,
+from .space import (LabelledCycle, LabelledGraph, _set_bits, canonical_cycle,
                     cycle_to_graph, first_forbidden, serialize_cycle)
 
 # Budgets of the cycle catalogue: the canonical candidates of one
@@ -62,13 +61,14 @@ def extract_obstacle(p: ParameterTuple, magic: int, g: LabelledGraph,
     """
     if trace.params != p or trace.magic != magic:
         raise InputError("trace does not belong to the given parameters and magic value")
-    inputs = [(*record.pair, record.value)
-              for record in trace.records if record.family == FAMILY_INPUT]
-    if inputs != g.edges() or len(trace.records) != g.n * (g.n - 1) // 2:
+    if trace.graph != g:
         raise InputError("trace does not belong to the given graph")
-    mat = [[0] * g.n for _ in range(g.n)]
-    for _, (u, v), value, _, _ in trace.records:
+    mat = list(map(list, g._mat))
+    for _, (u, v), value, _, _ in trace.derived:
         mat[u][v] = mat[v][u] = value
+    for u, mask in enumerate(trace.final):
+        for v in _set_bits(mask):
+            mat[u][v] = mat[v][u] = magic
     first = first_forbidden(p, LabelledGraph._of(g.delta, mat))
     if first is None:
         raise InputError("the completion run was Completable; there is no obstacle")
@@ -80,8 +80,9 @@ def _pull_back(trace: CompletionTrace, triangle: tuple[int, int, int]) -> Obstac
     records.  A stack holds the edges still to walk, starting with u-v, v-w
     and w-u.  A derived edge a-b is replaced by its witness edges a-x and
     x-b; an input edge is walked, giving its start vertex to the hom and its
-    record's value to the labels, so the cycle comes out in order."""
-    records = trace.by_pair()
+    label to the labels, so the cycle comes out in order."""
+    derived = {record.pair: record for record in trace.derived}
+    labels_of, final = trace.graph._mat, trace.final
     limit = 3 * 2 ** trace.params.delta
     u, v, w = triangle
     stack = [(w, u), (v, w), (u, v)]
@@ -89,20 +90,21 @@ def _pull_back(trace: CompletionTrace, triangle: tuple[int, int, int]) -> Obstac
     labels: list[int] = []
     while stack:
         a, b = stack.pop()
-        record = records[(a, b) if a < b else (b, a)]
-        if record.family in _DERIVED:
+        pair = (a, b) if a < b else (b, a)
+        record = derived.get(pair)
+        if record is not None:
             x = record.witness
             stack += (x, b), (a, x)
             if len(hom) + len(stack) > limit:
                 raise InvariantViolation(
                     f"obstacle grew past {limit} edges; the witness records must loop")
-        elif record.family == FAMILY_FINAL:
+        elif final[pair[0]] >> pair[1] & 1:
             raise InvariantViolation(
                 f"final-fill edge ({a}, {b}) inside an obstacle contradicts "
                 "magic-edge provenance")
         else:
             hom.append(a)
-            labels.append(record.value)
+            labels.append(labels_of[a][b])
     return Obstacle(LabelledCycle(tuple(labels)), tuple(hom))
 
 

@@ -22,9 +22,9 @@ from .completion import _steps, magic_complete, shortest_path_complete
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .obstacles import _pmap, _pull_back, _require_jobs, validate_obstacle_hom
 from .params import CASE_III, ParameterTuple, classify_admissible
-from .space import (LabelledCycle, LabelledGraph, _label_maps, allowed_masks,
-                    automorphisms, canonical_cycle, cycle_to_graph, first_forbidden,
-                    fork_graph, is_automorphism, serialize_graph)
+from .space import (LabelledCycle, LabelledGraph, _first_triangle, _label_maps,
+                    allowed_masks, automorphisms, canonical_cycle, cycle_to_graph,
+                    first_forbidden, fork_graph, is_automorphism, serialize_graph)
 
 # Missing-pair budgets of the completion enumeration and of the completability
 # search; every verification sweep runs within them.
@@ -528,7 +528,7 @@ def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
         details = _provenance_details(p, magic, g, outcome.completed)
         findings.append(("m-edge-provenance", True,
                          details[0] if details else None, {}))
-        obstacle = _pull_back(outcome.trace, outcome.forbidden_triangles[0])
+        obstacle = _pull_back(outcome.trace, _first_triangle(outcome.forbidden_hits))
         if not validate_obstacle_hom(g, obstacle):
             findings.append(("obstacle-extraction", True,
                              f"invalid homomorphism for obstacle {obstacle.cycle.labels}",

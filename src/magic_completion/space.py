@@ -17,9 +17,11 @@ from .errors import GraphParseError, InputError, ResourceLimitError
 from .params import MAX_DELTA, ParameterTuple
 
 # Largest vertex count of any graph.  Completion and the triangle scan visit
-# every pair with n-bit neighbour masks, so their cost grows faster than n^2;
-# a larger graph is refused with ResourceLimitError, and a graph file header
-# is checked before any edge is read.
+# every pair with n-bit neighbour masks, so their cost grows faster than n^2:
+# `complete` on a sparse graph of this size (300 edges, delta 32) takes ~1 s,
+# most of it in the rule passes.  A larger graph is refused with
+# ResourceLimitError, and a graph file header is checked before any edge is
+# read.
 MAX_VERTICES = 1000
 
 # Largest vertex count of an automorphism search, which can visit every permutation.
@@ -243,13 +245,31 @@ def _scan_tables(p: ParameterTuple) -> _ScanTables:
     return _ScanTables(forbidden, tuple(map(len, forbidden)), bad)
 
 
-def _forbidden_in(tables: _ScanTables, rows, mat,
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, in increasing order.
+    A mask of a few bits is taken apart bit by bit; a longer one is read
+    off its binary digits from the lowest set bit up, which costs less per
+    bit but more per call."""
+    if mask.bit_count() < 8:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    low = (mask & -mask).bit_length() - 1
+    return [i for i, digit in enumerate(bin(mask >> low)[:1:-1], low) if digit == "1"]
+
+
+def _forbidden_in(tables: _ScanTables, rows, mat, magic: int = 0,
                   first: bool = False) -> list[tuple[int, int, int]]:
-    """The fully assigned forbidden triples u < v < w in sorted order, of the
-    graph whose label matrix is `mat` (as LabelledGraph holds it) and whose
-    label masks are `rows` (rows[d][u] has bit w set when the pair (u, w) has
-    distance d), or None; `tables` is _scan_tables of the tuple.  With
-    `first`, only the first triple.
+    """(u, v, hits) per pair u < v, in sorted order, that closes a fully
+    assigned forbidden triangle of the graph whose label matrix is `mat` (as
+    LabelledGraph holds it): bit w of hits is set when (u, v, w) is forbidden,
+    and only bits w > v are.  `rows` are the graph's label masks (rows[d][u]
+    has bit w set when the pair (u, w) has distance d), or None; `tables` is
+    _scan_tables of the tuple.  With `first`, only the first pair, with only
+    its smallest w.
 
     Every triangle is found once, from its two smallest vertices u < v, as a
     third vertex w > v.  For a pair labelled a, the scan pays the cheaper of
@@ -258,39 +278,75 @@ def _forbidden_in(tables: _ScanTables, rows, mat,
     - one lookup per w, bad[a][mat[u][w]] >> mat[v][w] & 1, when there are
       no more vertices above v than forbidden label pairs of a, or when
       `rows` is None;
-    - otherwise the set bits above v of rows[b][u] & rows[c][v], ORed over
-      the forbidden (b, c) for a.
+    - otherwise the set bits above v of rows[c][v] & B[c], ORed over the
+      labels c, where B[c] ORs rows[b][u] over the forbidden (b, c) for a;
+      the B[c] of a label a are worked out once per vertex u.
+
+    A nonzero `magic` M, given with the rows, skips a pair labelled M when
+    every w above v has the label M towards u or towards v: every triangle
+    with two sides M is allowed for an eligible M, which the step table
+    checks.
     """
     forbidden, counts, bad = tables
+    n = len(mat)
     if rows is None:
-        counts = _LOOKUP_ONLY
-    last = len(mat) - 1
+        counts, magic = _LOOKUP_ONLY, 0
+    elif magic:
+        # other[u]: the vertices w whose pair with u is not labelled M; its
+        # bit u is set too, but a pair (u, v) reads only the bits above v
+        full = (1 << n) - 1
+        other = [full ^ row for row in rows[magic]]
+    last = n - 1
     found = []
     append = found.append
     for u, mu in enumerate(mat):
-        for v in range(u + 1, last + 1):
+        terms_of = [None] * len(forbidden)  # per label a: (rows[c], B[c]) for B[c] != 0
+        for v in range(u + 1, n):
             a = mu[v]
             if not a:
                 continue
+            if a == magic and not (other[u] & other[v]) >> (v + 1):
+                continue  # each w above v has an M side towards u or v
             if last - v <= counts[a]:
                 bad_a, mv = bad[a], mat[v]
-                for w in range(v + 1, last + 1):
+                hits = 0
+                for w in range(v + 1, n):
                     if bad_a[mu[w]] >> mv[w] & 1:
                         if first:
-                            return [(u, v, w)]
-                        append((u, v, w))
+                            return [(u, v, 1 << w)]
+                        hits |= 1 << w
+                if hits:
+                    append((u, v, hits))
                 continue
+            terms = terms_of[a]
+            if terms is None:
+                by_c = {}
+                for b, c in forbidden[a]:
+                    if rows[b][u]:
+                        by_c[c] = by_c.get(c, 0) | rows[b][u]
+                terms = terms_of[a] = [(rows[c], mask) for c, mask in by_c.items()]
             hits = 0
-            for b, c in forbidden[a]:
-                hits |= rows[b][u] & rows[c][v]
-            hits >>= v + 1
-            if hits and first:
-                return [(u, v, v + (hits & -hits).bit_length())]
-            while hits:
-                low = hits & -hits
-                append((u, v, v + low.bit_length()))
-                hits ^= low
+            for row, mask in terms:
+                hits |= row[v] & mask
+            hits &= -(2 << v)
+            if hits:
+                if first:
+                    return [(u, v, hits & -hits)]
+                append((u, v, hits))
     return found
+
+
+def _triangles(found) -> list[tuple[int, int, int]]:
+    """The triangles (u, v, w) of _forbidden_in's list, in sorted order."""
+    return [(u, v, w) for u, v, hits in found for w in _set_bits(hits)]
+
+
+def _first_triangle(found) -> tuple[int, int, int] | None:
+    """The first triangle of _forbidden_in's list, or None."""
+    if not found:
+        return None
+    u, v, hits = found[0]
+    return u, v, (hits & -hits).bit_length() - 1
 
 
 def _scan_tables_of(p: ParameterTuple, g: LabelledGraph) -> _ScanTables:
@@ -303,13 +359,12 @@ def _scan_tables_of(p: ParameterTuple, g: LabelledGraph) -> _ScanTables:
 def first_forbidden(p: ParameterTuple, g: LabelledGraph) -> tuple[int, int, int] | None:
     """The first fully assigned forbidden triple u < v < w of g in sorted
     order, or None; the scan stops there."""
-    found = _forbidden_in(_scan_tables_of(p, g), None, g._mat, first=True)
-    return found[0] if found else None
+    return _first_triangle(_forbidden_in(_scan_tables_of(p, g), None, g._mat, first=True))
 
 
 def forbidden_triangles(p: ParameterTuple, g: LabelledGraph) -> list[tuple[int, int, int]]:
     """Sorted vertex triples of g that are fully assigned and forbidden."""
-    return _forbidden_in(_scan_tables_of(p, g), None, g._mat)
+    return _triangles(_forbidden_in(_scan_tables_of(p, g), None, g._mat))
 
 
 def automorphisms(g: LabelledGraph) -> list[tuple[int, ...]]:
@@ -449,7 +504,6 @@ def parse_graph(text: str) -> LabelledGraph:
         raise GraphParseError(1, "missing 'graph <n> <delta>' header")
     value = _DECIMAL_VALUE.get
     mat = [[0] * n for _ in range(n)]
-    seen: dict[tuple[int, int], int] = {}  # pair -> line that set it
     for line_no, raw in lines:
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
@@ -470,18 +524,27 @@ def parse_graph(text: str) -> LabelledGraph:
             raise GraphParseError(line_no, f"vertex out of range in {raw.strip()!r}")
         if not (1 <= d <= delta):
             raise GraphParseError(line_no, f"distance {d} out of range 1..{delta}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphParseError(
-                line_no, f"duplicate distance for pair {key} (first set on line {seen[key]})")
-        seen[key] = line_no
+        if mat[u][v]:
+            key = (u, v) if u < v else (v, u)
+            raise GraphParseError(line_no, f"duplicate distance for pair {key} "
+                                           f"(first set on line {_first_line_of(text, key)})")
         mat[u][v] = mat[v][u] = d
     return LabelledGraph._of(delta, mat)
+
+
+def _first_line_of(text: str, key: tuple[int, int]) -> int:
+    """The number of the first edge line of a graph text that sets the pair
+    `key`; every edge line before the duplicate one has parsed."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if tokens[:1] == ["e"] and sorted(map(int, tokens[1:3])) == list(key):
+            return line_no
 
 
 def serialize_graph(g: LabelledGraph) -> str:
     """Inverse of parse_graph; edges sorted by vertex pair, one per line."""
     text = DECIMAL
     lines = [f"graph {g.n} {g.delta}"]
-    lines.extend([f"e {text[u]} {text[v]} {text[d]}" for u, v, d in g.edges()])
+    lines.extend([f"e {text[u]} {text[v]} {text[d]}" for u, row in enumerate(g._mat)
+                  for v, d in enumerate(row[u + 1:], u + 1) if d])
     return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ import pytest
 
 from magic_completion import (InputError, InvariantViolation,
                               LabelledCycle, LabelledGraph, ParameterTuple,
-                              RandomScope, TraceRecord, cycle_to_graph,
+                              RandomScope, TraceRecord, classify_triangle, cycle_to_graph,
                               eligible_magic, enumerate_admissible,
                               forbidden_triangles, fork_graph, magic_complete,
                               run_verification_suite, select_magic_parameter,
@@ -14,7 +14,8 @@ from magic_completion import (InputError, InvariantViolation,
 from magic_completion import completion, oracle
 from magic_completion.completion import (CompletionTrace, _label_rows, _step_table,
                                          _steps)
-from magic_completion.space import MAX_VERTICES
+from magic_completion.obstacles import _pull_back
+from magic_completion.space import MAX_VERTICES, _first_triangle, allowed_masks
 
 P3 = ParameterTuple(3, 1, 2, 10, 9)
 P5 = ParameterTuple(5, 3, 3, 16, 13)
@@ -63,6 +64,30 @@ def test_time_injective_for_small_admissible_tuples():
                 times = [time_of(x, magic, delta)
                          for x in range(1, delta + 1) if x != magic]
                 assert len(set(times)) == len(times)
+
+
+def test_every_eligible_magic_allows_each_triangle_with_two_sides_magic():
+    # the engine's scan skips every triangle with two sides M, so the step
+    # table of each admissible (tuple, eligible magic) pair must build, and
+    # classify_triangle must agree that (M, M, c) is allowed for every c
+    pairs = 0
+    for delta in range(3, 13):
+        for row in enumerate_admissible(delta):
+            p = row.params
+            for magic in sorted(eligible_magic(p)):
+                _step_table.__wrapped__(p, magic)
+                assert all(classify_triangle(p, magic, magic, c).allowed
+                           for c in range(1, delta + 1))
+                pairs += 1
+    assert pairs == 3486
+
+
+def test_the_step_table_refuses_a_forbidden_triangle_with_two_sides_magic(monkeypatch):
+    masks = [list(row) for row in allowed_masks(P5)]
+    masks[3][3] &= ~(1 << 5)
+    monkeypatch.setattr(completion, "allowed_masks", lambda p: masks)
+    with pytest.raises(InvariantViolation, match="two sides 3 is forbidden for"):
+        _step_table.__wrapped__(P5, 3)
 
 
 def _forks_by_target(p, magic):
@@ -227,11 +252,13 @@ def test_serialize_trace_matches_the_two_pass_reference():
     traces = [outcome.trace for outcome in runs]
     assert max(record.value for trace in traces for record in trace.records) == 32
     for trace in list(traces):
-        shift = MAX_VERTICES - 1 - max((max(r.pair) for r in trace.records), default=0)
-        traces.append(CompletionTrace(trace.params, trace.magic, tuple(
+        shift = MAX_VERTICES - trace.graph.n
+        graph = LabelledGraph(MAX_VERTICES, trace.graph.delta, [
+            (u + shift, v + shift, d) for u, v, d in trace.graph.edges()])
+        traces.append(CompletionTrace(trace.params, trace.magic, graph, tuple(
             TraceRecord(r.step, (r.pair[0] + shift, r.pair[1] + shift), r.value,
-                        None if r.witness is None else r.witness + shift, r.family)
-            for r in trace.records)))
+                        r.witness + shift, r.family) for r in trace.derived),
+            (0,) * shift + tuple(mask << shift for mask in trace.final)))
     assert any(f" {MAX_VERTICES - 1} " in serialize_trace(trace) for trace in traces)
     for trace in traces:
         assert serialize_trace(trace) == _two_pass_serialize_trace(trace)
@@ -241,17 +268,17 @@ def test_serialize_trace_writes_numbers_outside_the_table_with_str():
     # a hand-built trace may hold numbers no engine trace does: a negative
     # index must not read the table's other end, and a number above it must
     # not raise
-    header = (P5, 3)
+    header = (P5, 3, LabelledGraph(3, 5))
     for record in [TraceRecord(1, (0, 2), 4, -1, "plus"),
                    TraceRecord(-7, (0, 1), 2, 1, "minus"),
-                   TraceRecord(None, (-1, 3), 3, None, "final-M"),
                    TraceRecord(2, (0, 1500), 2, 1, "cbound"),
                    TraceRecord(None, (0, 1), -1001, 2, "plus"),
                    TraceRecord(3, (0, 1), 2, 10 ** 20, "minus")]:
-        trace = CompletionTrace(*header, (TraceRecord(1, (0, 1), 2, 3, "plus"), record))
+        trace = CompletionTrace(*header, (TraceRecord(1, (0, 1), 2, 3, "plus"), record),
+                                (0, 1 << 2, 0))
         assert serialize_trace(trace) == _two_pass_serialize_trace(trace)
     assert "witness -1 via plus" in serialize_trace(
-        CompletionTrace(*header, (TraceRecord(1, (0, 2), 4, -1, "plus"),)))
+        CompletionTrace(*header, (TraceRecord(1, (0, 2), 4, -1, "plus"),), (0, 0, 0)))
 
 
 def test_completed_graph_is_built_in_pair_order():
@@ -293,6 +320,38 @@ def test_trace_record_is_an_immutable_tuple():
     assert other.trace is outcome.trace and not other.completable
 
 
+def test_a_run_builds_no_record_or_triangle_until_asked():
+    # the trace holds the input graph, the derived records and the final
+    # masks, and the outcome the hit masks: serializing the trace and
+    # pulling the obstacle back, as `complete --trace --obstacle` does, build
+    # no record and no triangle tuple, and both lists, once asked for, equal
+    # the ones the engine used to build eagerly
+    p = ParameterTuple(5, 3, 3, 14, 13)
+    rng = random.Random(14)
+    for density in (0.35, 0.35, 0.6):
+        g = LabelledGraph(80, 5, [(u, v, rng.randint(1, 5))
+                                  for u, v in itertools.combinations(range(80), 2)
+                                  if rng.random() < density])
+        outcome = magic_complete(p, 3, g)
+        assert not outcome.completable
+        text = serialize_trace(outcome.trace)
+        obstacle = _pull_back(outcome.trace, _first_triangle(outcome.forbidden_hits))
+        assert "records" not in vars(outcome.trace)
+        assert "forbidden_triangles" not in vars(outcome)
+        derived = list(outcome.trace.derived)
+        assert derived and all(record.family in ("plus", "minus", "cbound") for record in derived)
+        eager = [TraceRecord(None, (u, v), d, None, "input") for u, v, d in g.edges()]
+        eager += derived
+        eager += [TraceRecord(None, (u, v), 3, None, "final-M")
+                  for u, v in itertools.combinations(range(80), 2)
+                  if not g.get(u, v) and (u, v) not in {record.pair for record in derived}]
+        assert list(outcome.trace.records) == eager
+        assert outcome.trace.by_pair() == {record.pair: record for record in eager}
+        assert outcome.forbidden_triangles == tuple(forbidden_triangles(p, outcome.completed))
+        assert text == _two_pass_serialize_trace(outcome.trace)
+        assert obstacle == _pull_back(outcome.trace, outcome.forbidden_triangles[0])
+
+
 CASE_KEYS = [(5, 3, 3, 14, 13), (5, 3, 3, 16, 13), (4, 1, 4, 14, 13)]  # II-A, II-B, III
 
 
@@ -330,9 +389,9 @@ def test_the_scan_reads_the_completed_graphs_masks(monkeypatch, key):
     scanned = []
     scan = completion._forbidden_in
 
-    def spy(tables, rows, mat, first=False):
-        scanned.append((rows, mat))
-        return scan(tables, rows, mat, first)
+    def spy(tables, rows, mat, magic=0, first=False):
+        scanned.append((rows, mat, magic))
+        return scan(tables, rows, mat, magic, first)
 
     monkeypatch.setattr(completion, "_forbidden_in", spy)
     p = ParameterTuple(*key)
@@ -344,7 +403,8 @@ def test_the_scan_reads_the_completed_graphs_masks(monkeypatch, key):
                 (u, v, rng.randint(1, p.delta))
                 for u, v in itertools.combinations(range(n), 2) if rng.random() < density])
             outcome = magic_complete(p, magic, g)
-            rows, mat = scanned.pop()
+            rows, mat, scanned_magic = scanned.pop()
+            assert scanned_magic == magic
             assert rows == _reference_masks(outcome.completed)
             assert list(map(list, mat)) == _reference_matrix(outcome.completed)
     assert not scanned

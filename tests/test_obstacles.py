@@ -151,14 +151,14 @@ def test_pull_back_equals_the_stage_loop():
     assert noise == 183
 
 
-def _hand_trace(*records):
-    return CompletionTrace(ParameterTuple(3, 1, 2, 10, 9), 2,
-                           tuple(TraceRecord(*record) for record in records))
+def _hand_trace(edges, derived, final):
+    """A trace of (3, 1, 2, 10, 9) and M = 2 on three vertices."""
+    return CompletionTrace(ParameterTuple(3, 1, 2, 10, 9), 2, LabelledGraph(3, 3, edges),
+                           tuple(TraceRecord(*record) for record in derived), final)
 
 
 def test_pull_back_refuses_a_final_fill_edge():
-    trace = _hand_trace((None, (0, 1), 1, None, "input"), (None, (1, 2), 1, None, "input"),
-                        (None, (0, 2), 2, None, "final-M"))
+    trace = _hand_trace([(0, 1, 1), (1, 2, 1)], [], (1 << 2, 0, 0))
     with pytest.raises(InvariantViolation, match=r"final-fill edge \(2, 0\)"):
         _pull_back(trace, (0, 1, 2))
 
@@ -166,8 +166,8 @@ def test_pull_back_refuses_a_final_fill_edge():
 def test_pull_back_stops_on_a_witness_loop():
     # each pair names the third vertex as its witness, so every expansion
     # brings back the pairs it came from
-    trace = _hand_trace((1, (0, 1), 1, 2, "plus"), (1, (1, 2), 1, 0, "plus"),
-                        (1, (0, 2), 1, 1, "plus"))
+    trace = _hand_trace([], [(1, (0, 1), 1, 2, "plus"), (1, (1, 2), 1, 0, "plus"),
+                             (1, (0, 2), 1, 1, "plus")], (0, 0, 0))
     with pytest.raises(InvariantViolation, match="grew past 24 edges"):
         _pull_back(trace, (0, 1, 2))
 

@@ -10,8 +10,8 @@ from magic_completion import (GraphParseError, InputError, LabelledCycle,
                               automorphisms, canonical_cycle,
                               classify_triangle, cycle_to_graph,
                               enumerate_acceptable, forbidden_triangles,
-                              fork_graph, is_member,
-                              parse_cycle, parse_graph,
+                              fork_graph, is_member, magic_complete,
+                              parse_cycle, parse_graph, select_magic_parameter,
                               serialize_cycle, serialize_graph, triangle_allowed)
 from magic_completion.oracle import _extend_member
 from magic_completion.params import MAX_DELTA
@@ -397,10 +397,31 @@ def _reference_scan(p, g):
     return found
 
 
+def _cube_scan(p, g):
+    """_reference_scan through a cube of classify_triangle verdicts indexed
+    by the label matrix, fast enough for a few hundred vertices."""
+    labels = range(p.delta + 1)
+    cube = [[[0 not in (a, b, c) and not classify_triangle(p, a, b, c).allowed
+              for c in labels] for b in labels] for a in labels]
+    mat = g._mat
+    return [(u, v, w) for u, v in itertools.combinations(range(g.n), 2)
+            for w in range(v + 1, g.n) if cube[mat[u][v]][mat[u][w]][mat[v][w]]]
+
+
+def _expand(found, n):
+    """The triangles of _forbidden_in's (u, v, hits) list; each hits mask
+    is nonzero and has no bit at or below v."""
+    for u, v, hits in found:
+        assert u < v and hits and hits >> (v + 1) << (v + 1) == hits
+    return [(u, v, w) for u, v, hits in found for w in range(v + 1, n) if hits >> w & 1]
+
+
 @pytest.mark.parametrize("key", SCAN_KEYS)
 def test_scan_matches_a_triple_loop_over_classify_triangle(key):
     # every graph also goes through both ways of finding the third vertices:
-    # lookups only (no masks) and, per pair, lookups or the mask OR
+    # lookups only (no masks) and, per pair, lookups or the mask OR; the
+    # engine's completions of sparse graphs on 200 vertices go through its
+    # own scan, where most pairs are labelled M
     p = ParameterTuple(*key)
     tables = _scan_tables(p)
     assert key != (3, 1, 2, 10, 9) or tables.counts[2] == 0
@@ -421,12 +442,25 @@ def test_scan_matches_a_triple_loop_over_classify_triangle(key):
             mat = _reference_matrix(g)
             assert g._mat == tuple(map(tuple, mat))
             for rows in (None, _reference_masks(g)):
-                assert _forbidden_in(tables, rows, mat) == expected
-                assert _forbidden_in(tables, rows, mat, first=True) == expected[:1]
+                assert _expand(_forbidden_in(tables, rows, mat), n) == expected
+                assert _expand(_forbidden_in(tables, rows, mat, first=True), n) == expected[:1]
             if g.is_complete():
                 assert is_member(p, g) == (not expected)
         # members pass; these random complete graphs of 7 or more vertices do not
         assert is_member(p, graphs[-1]) and (n < 7 or not is_member(p, graphs[-2]))
+    magic = select_magic_parameter(p).selected
+    pairs = list(itertools.combinations(range(200), 2))
+    verdicts = set()
+    for size in (40, 400, 2000):
+        g = LabelledGraph(200, p.delta, [(u, v, rng.randint(1, p.delta))
+                                         for u, v in rng.sample(pairs, size)])
+        outcome = magic_complete(p, magic, g)
+        expected = _cube_scan(p, outcome.completed)
+        assert list(outcome.forbidden_triangles) == expected
+        assert _expand(outcome.forbidden_hits, g.n) == expected
+        assert outcome.completable == (not expected)
+        verdicts.add(outcome.completable)
+    assert verdicts == {True, False}
 
 
 def _reference_parse_graph(text):
@@ -523,6 +557,10 @@ PARSE_CORPUS = [
     "graph 4 5\ne 0 1 -3\n",
     "graph 4 5\ne 0 1 2\n# again\ne 1 0 3\n",
     "graph 4 5\r\ne 2 3 1\r\n\r\ne 3 2 1\r\n",
+    # duplicates whose first line is non-canonical, or follows comment and CRLF lines
+    "graph 9 5\ne 07 +1 2\ne 1 7 3\n",
+    "graph 5 5\ne 0 1 2\ne \u0663 1 2\ne 2 4 1\ne 1 3 4\n",
+    "# c\r\n\r\ngraph 4 5\r\n# x\r\ne 1 3 2\r\n\r\n# y\r\ne 0 1 1\r\ne 3 1 2\r\n",
     "graph 1000 32\ne 999 1000 1\n",
 ]
 
