@@ -61,14 +61,22 @@ def extract_obstacle(p: ParameterTuple, magic: int, g: LabelledGraph,
     """
     if trace.params != p or trace.magic != magic:
         raise InputError("trace does not belong to the given parameters and magic value")
-    if trace.graph != g:
+    n = g.n
+    if trace.graph != g or len(trace.final) != n:
         raise InputError("trace does not belong to the given graph")
+    # every pair u < v is set once: by the input, a derived record or a final bit
     mat = list(map(list, g._mat))
     for _, (u, v), value, _, _ in trace.derived:
+        if not 0 <= u < v < n or mat[u][v]:
+            raise InputError(f"trace sets the pair ({u}, {v}) twice or outside the graph")
         mat[u][v] = mat[v][u] = value
     for u, mask in enumerate(trace.final):
         for v in _set_bits(mask):
+            if not u < v < n or mat[u][v]:
+                raise InputError(f"trace sets the pair ({u}, {v}) twice or outside the graph")
             mat[u][v] = mat[v][u] = magic
+    if any(row.count(0) != 1 for row in mat):
+        raise InputError("trace leaves a pair of the graph unset")
     first = first_forbidden(p, LabelledGraph._of(g.delta, mat))
     if first is None:
         raise InputError("the completion run was Completable; there is no obstacle")
@@ -102,9 +110,11 @@ def _pull_back(trace: CompletionTrace, triangle: tuple[int, int, int]) -> Obstac
             raise InvariantViolation(
                 f"final-fill edge ({a}, {b}) inside an obstacle contradicts "
                 "magic-edge provenance")
-        else:
+        elif labels_of[a][b]:
             hom.append(a)
             labels.append(labels_of[a][b])
+        else:
+            raise InvariantViolation(f"pair ({a}, {b}) has no label in the trace")
     return Obstacle(LabelledCycle(tuple(labels)), tuple(hom))
 
 

@@ -249,7 +249,9 @@ def _set_bits(mask: int) -> list[int]:
     """Positions of the set bits of a non-negative int, in increasing order.
     A mask of a few bits is taken apart bit by bit; a longer one is read
     off its binary digits from the lowest set bit up, which costs less per
-    bit but more per call."""
+    bit but more per call.  Below 8 set bits the bit loop is the faster of
+    the two on masks 10 to 1000 bits wide; at 10 set bits it is slower on
+    10-bit masks, and from 24 on 80-bit ones."""
     if mask.bit_count() < 8:
         out = []
         while mask:

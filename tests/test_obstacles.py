@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -83,6 +84,27 @@ def test_extraction_rejects_a_trace_of_another_tuple_or_magic():
             extract_obstacle(p, magic, g, trace)
 
 
+def test_extraction_rejects_a_trace_that_does_not_set_each_pair_once():
+    # the forbidden input triangle 0 1 2 plus the edge 3-4; the final fill
+    # sets the six pairs between {0, 1, 2} and {3, 4}
+    g = LabelledGraph(5, 5, [(0, 1, 1), (1, 2, 1), (0, 2, 4), (3, 4, 5)])
+    trace = magic_complete(P5, 3, g).trace
+    assert trace.final == (0b11000, 0b11000, 0b11000, 0, 0) and not trace.derived
+    extract_obstacle(P5, 3, g, trace)
+    dropped = dataclasses.replace(trace, final=(0b11000, 0, 0b11000, 0, 0))
+    with pytest.raises(InputError, match="leaves a pair of the graph unset"):
+        extract_obstacle(P5, 3, g, dropped)
+    on_input = dataclasses.replace(trace, final=(0b11010, 0b11000, 0b11000, 0, 0))
+    with pytest.raises(InputError, match=r"sets the pair \(0, 1\) twice"):
+        extract_obstacle(P5, 3, g, on_input)
+    below = dataclasses.replace(trace, final=(0b11000, 0b11001, 0b11000, 0, 0))
+    with pytest.raises(InputError, match=r"sets the pair \(1, 0\) twice or outside"):
+        extract_obstacle(P5, 3, g, below)
+    derived = dataclasses.replace(trace, derived=(TraceRecord(1, (3, 4), 3, 0, "plus"),))
+    with pytest.raises(InputError, match=r"sets the pair \(3, 4\) twice"):
+        extract_obstacle(P5, 3, g, derived)
+
+
 def test_extraction_from_a_trace_equals_the_run_pull_back():
     # the verify sweep pulls obstacles back from its own runs; extract_obstacle
     # checks a trace and rebuilds the run from it, and must agree
@@ -160,6 +182,12 @@ def _hand_trace(edges, derived, final):
 def test_pull_back_refuses_a_final_fill_edge():
     trace = _hand_trace([(0, 1, 1), (1, 2, 1)], [], (1 << 2, 0, 0))
     with pytest.raises(InvariantViolation, match=r"final-fill edge \(2, 0\)"):
+        _pull_back(trace, (0, 1, 2))
+
+
+def test_pull_back_refuses_a_pair_the_trace_does_not_set():
+    trace = _hand_trace([(0, 1, 1)], [], (0, 0, 0))
+    with pytest.raises(InvariantViolation, match=r"pair \(1, 2\) has no label"):
         _pull_back(trace, (0, 1, 2))
 
 
