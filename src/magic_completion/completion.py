@@ -113,19 +113,24 @@ class CompletionTrace:
     derived: tuple[TraceRecord, ...]
     final: tuple[int, ...]
 
+    def __post_init__(self):
+        # every reader walks the set bits of each mask, which never ends for
+        # a negative int
+        for mask in self.final:
+            if type(mask) is not int or mask < 0:
+                raise InputError(f"final mask {mask!r} is not a non-negative integer")
+
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:
         """Every pair's record: the input pairs, the derived records, then
-        the final fill, each in pair order."""
+        the final fill, each in pair order.  Nothing in the package reads
+        it; the benchmark's tracer counts derived and final-M edges from it."""
         magic = self.magic
         return (*[TraceRecord(None, (u, v), d, None, FAMILY_INPUT)
                   for u, v, d in self.graph.edges()],
                 *self.derived,
                 *[TraceRecord(None, (u, v), magic, None, FAMILY_FINAL)
                   for u, mask in enumerate(self.final) for v in _set_bits(mask)])
-
-    def by_pair(self) -> dict[tuple[int, int], TraceRecord]:
-        return {record.pair: record for record in self.records}
 
 
 @dataclass(frozen=True)
@@ -254,33 +259,22 @@ def magic_complete(p: ParameterTuple, magic: int, g: LabelledGraph) -> Completio
 _DECIMAL_OF = dict(enumerate(DECIMAL))
 
 
-class _AnyNumber:
-    """str() of any number, indexed like DECIMAL."""
-
-    def __getitem__(self, number) -> str:
-        return str(number)
-
-
 def serialize_trace(trace: CompletionTrace) -> str:
     """Text form of a trace: header, step records, then the final fill.
     Numbers are written through DECIMAL, which holds every number an engine
     trace does; a hand-built trace with any other number (negative, above
-    MAX_VERTICES, or a None step) is written with str() throughout."""
-    try:
-        return _trace_text(trace, _DECIMAL_OF)
-    except (KeyError, TypeError):  # TypeError: a number that does not hash
-        return _trace_text(trace, _AnyNumber())
-
-
-def _trace_text(trace: CompletionTrace, text) -> str:
-    p = trace.params
+    MAX_VERTICES, or a None step) is refused with InputError."""
+    text, p = _DECIMAL_OF, trace.params
     lines = [f"magic M={trace.magic} params {p.delta} {p.k1} {p.k2} {p.c0} {p.c1}"]
-    lines.extend([f"step {text[step]} set {text[u]} {text[v]} = {text[value]} "
-                  f"witness {text[witness]} via {family}"
-                  for step, (u, v), value, witness, family in trace.derived])
-    tail = f" = {text[trace.magic]}"
-    lines.extend([f"final {text[u]} {text[v]}{tail}"
-                  for u, mask in enumerate(trace.final) if mask for v in _set_bits(mask)])
+    try:
+        lines.extend([f"step {text[step]} set {text[u]} {text[v]} = {text[value]} "
+                      f"witness {text[witness]} via {family}"
+                      for step, (u, v), value, witness, family in trace.derived])
+        tail = f" = {text[trace.magic]}"
+        lines.extend([f"final {text[u]} {text[v]}{tail}"
+                      for u, mask in enumerate(trace.final) if mask for v in _set_bits(mask)])
+    except (KeyError, TypeError):  # TypeError: a number that does not hash
+        raise InputError("trace holds a number that no completion run writes") from None
     return "\n".join(lines) + "\n"
 
 

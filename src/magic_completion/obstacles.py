@@ -20,7 +20,7 @@ from .completion import CompletionTrace, magic_complete
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .params import ParameterTuple
 from .space import (LabelledCycle, LabelledGraph, _set_bits, canonical_cycle,
-                    cycle_to_graph, first_forbidden, serialize_cycle)
+                    cycle_to_graph, forbidden_triangles, serialize_cycle)
 
 # Budgets of the cycle catalogue: the canonical candidates of one
 # enumerate_uncompletable_cycles call, and the length family_classify takes.
@@ -64,11 +64,17 @@ def extract_obstacle(p: ParameterTuple, magic: int, g: LabelledGraph,
     n = g.n
     if trace.graph != g or len(trace.final) != n:
         raise InputError("trace does not belong to the given graph")
-    # every pair u < v is set once: by the input, a derived record or a final bit
+    # every pair u < v is set once: by the input, a derived record or a final
+    # bit; a derived record names a third vertex and a distance in 1..delta
     mat = list(map(list, g._mat))
-    for _, (u, v), value, _, _ in trace.derived:
-        if not 0 <= u < v < n or mat[u][v]:
+    for _, (u, v), value, witness, _ in trace.derived:
+        if not (type(u) is int and type(v) is int and 0 <= u < v < n) or mat[u][v]:
             raise InputError(f"trace sets the pair ({u}, {v}) twice or outside the graph")
+        if type(witness) is not int or not 0 <= witness < n or witness in (u, v):
+            raise InputError(f"witness {witness!r} of the pair ({u}, {v}) is not a third vertex")
+        if type(value) is not int or not 1 <= value <= p.delta:
+            raise InputError(
+                f"distance {value!r} of the pair ({u}, {v}) out of range 1..{p.delta}")
         mat[u][v] = mat[v][u] = value
     for u, mask in enumerate(trace.final):
         for v in _set_bits(mask):
@@ -77,10 +83,10 @@ def extract_obstacle(p: ParameterTuple, magic: int, g: LabelledGraph,
             mat[u][v] = mat[v][u] = magic
     if any(row.count(0) != 1 for row in mat):
         raise InputError("trace leaves a pair of the graph unset")
-    first = first_forbidden(p, LabelledGraph._of(g.delta, mat))
-    if first is None:
+    found = forbidden_triangles(p, LabelledGraph._of(g.delta, mat))
+    if not found:
         raise InputError("the completion run was Completable; there is no obstacle")
-    return _pull_back(trace, first)
+    return _pull_back(trace, found[0])
 
 
 def _pull_back(trace: CompletionTrace, triangle: tuple[int, int, int]) -> Obstacle:

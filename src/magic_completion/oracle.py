@@ -24,7 +24,7 @@ from .obstacles import _pmap, _pull_back, _require_jobs, validate_obstacle_hom
 from .params import CASE_III, ParameterTuple, classify_admissible
 from .space import (LabelledCycle, LabelledGraph, _first_triangle, _label_maps,
                     allowed_masks, automorphisms, canonical_cycle, cycle_to_graph,
-                    first_forbidden, fork_graph, is_automorphism, serialize_graph)
+                    forbidden_triangles, fork_graph, is_automorphism, serialize_graph)
 
 # Missing-pair budgets of the completion enumeration and of the completability
 # search; every verification sweep runs within them.
@@ -101,8 +101,8 @@ def _search(p: ParameterTuple, g: LabelledGraph, budget: int,
     """
     missing = g.missing_pairs()
     counts = [[0] * (p.delta + 1) for _ in missing]
-    # first_forbidden also refuses a graph whose delta is not the tuple's
-    if first_forbidden(p, g) is not None:
+    # forbidden_triangles also refuses a graph whose delta is not the tuple's
+    if forbidden_triangles(p, g):
         return 0, counts
     if len(missing) > budget:
         raise ResourceLimitError(

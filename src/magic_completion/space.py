@@ -205,10 +205,10 @@ def triangle_allowed(p: ParameterTuple, a: int, b: int, c: int) -> bool:
 
 def is_member(p: ParameterTuple, g: LabelledGraph) -> bool:
     """Membership test for complete graphs: no triangle violates any bound."""
-    found = first_forbidden(p, g)  # refuses a graph of another delta first
+    found = forbidden_triangles(p, g)  # refuses a graph of another delta first
     if not g.is_complete():
         raise InputError("membership is only defined for complete graphs")
-    return found is None
+    return not found
 
 
 @lru_cache(maxsize=None)
@@ -263,15 +263,13 @@ def _set_bits(mask: int) -> list[int]:
     return [i for i, digit in enumerate(bin(mask >> low)[:1:-1], low) if digit == "1"]
 
 
-def _forbidden_in(tables: _ScanTables, rows, mat, magic: int = 0,
-                  first: bool = False) -> list[tuple[int, int, int]]:
+def _forbidden_in(tables: _ScanTables, rows, mat, magic: int = 0) -> list[tuple[int, int, int]]:
     """(u, v, hits) per pair u < v, in sorted order, that closes a fully
     assigned forbidden triangle of the graph whose label matrix is `mat` (as
     LabelledGraph holds it): bit w of hits is set when (u, v, w) is forbidden,
     and only bits w > v are.  `rows` are the graph's label masks (rows[d][u]
     has bit w set when the pair (u, w) has distance d), or None; `tables` is
-    _scan_tables of the tuple.  With `first`, only the first pair, with only
-    its smallest w.
+    _scan_tables of the tuple.
 
     Every triangle is found once, from its two smallest vertices u < v, as a
     third vertex w > v.  For a pair labelled a, the scan pays the cheaper of
@@ -314,8 +312,6 @@ def _forbidden_in(tables: _ScanTables, rows, mat, magic: int = 0,
                 hits = 0
                 for w in range(v + 1, n):
                     if bad_a[mu[w]] >> mv[w] & 1:
-                        if first:
-                            return [(u, v, 1 << w)]
                         hits |= 1 << w
                 if hits:
                     append((u, v, hits))
@@ -332,8 +328,6 @@ def _forbidden_in(tables: _ScanTables, rows, mat, magic: int = 0,
                 hits |= row[v] & mask
             hits &= -(2 << v)
             if hits:
-                if first:
-                    return [(u, v, hits & -hits)]
                 append((u, v, hits))
     return found
 
@@ -351,22 +345,11 @@ def _first_triangle(found) -> tuple[int, int, int] | None:
     return u, v, (hits & -hits).bit_length() - 1
 
 
-def _scan_tables_of(p: ParameterTuple, g: LabelledGraph) -> _ScanTables:
-    """_scan_tables(p), for a graph g of p's delta."""
-    if g.delta != p.delta:
-        raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
-    return _scan_tables(p)
-
-
-def first_forbidden(p: ParameterTuple, g: LabelledGraph) -> tuple[int, int, int] | None:
-    """The first fully assigned forbidden triple u < v < w of g in sorted
-    order, or None; the scan stops there."""
-    return _first_triangle(_forbidden_in(_scan_tables_of(p, g), None, g._mat, first=True))
-
-
 def forbidden_triangles(p: ParameterTuple, g: LabelledGraph) -> list[tuple[int, int, int]]:
     """Sorted vertex triples of g that are fully assigned and forbidden."""
-    return _triangles(_forbidden_in(_scan_tables_of(p, g), None, g._mat))
+    if g.delta != p.delta:
+        raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
+    return _triangles(_forbidden_in(_scan_tables(p), None, g._mat))
 
 
 def automorphisms(g: LabelledGraph) -> list[tuple[int, ...]]:
@@ -449,10 +432,8 @@ def canonical_cycle(c: LabelledCycle) -> LabelledCycle:
     return LabelledCycle(min(candidates))
 
 
-def cycle_to_graph(c: LabelledCycle, delta: int | None = None) -> LabelledGraph:
+def cycle_to_graph(c: LabelledCycle, delta: int) -> LabelledGraph:
     """The cycle as a graph on len(c) vertices; all chords are missing."""
-    if delta is None:
-        delta = max(c.labels)
     n = len(c.labels)
     return LabelledGraph(n, delta, [(i, (i + 1) % n, c.labels[i]) for i in range(n)])
 

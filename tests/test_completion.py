@@ -7,7 +7,7 @@ import pytest
 from magic_completion import (InputError, InvariantViolation,
                               LabelledCycle, LabelledGraph, ParameterTuple,
                               RandomScope, TraceRecord, classify_triangle, cycle_to_graph,
-                              eligible_magic, enumerate_admissible,
+                              eligible_magic, enumerate_admissible, extract_obstacle,
                               forbidden_triangles, fork_graph, magic_complete,
                               run_verification_suite, select_magic_parameter,
                               serialize_trace, shortest_path_complete, time_of)
@@ -172,7 +172,7 @@ def test_isolated_pair_gets_magic_value():
     outcome = magic_complete(P5, 3, LabelledGraph(2, 5))
     assert outcome.completable
     assert outcome.completed.get(0, 1) == 3
-    record = outcome.trace.by_pair()[(0, 1)]
+    record = {r.pair: r for r in outcome.trace.records}[(0, 1)]
     assert record.family == "final-M"
     assert record.step is None
 
@@ -264,21 +264,40 @@ def test_serialize_trace_matches_the_two_pass_reference():
         assert serialize_trace(trace) == _two_pass_serialize_trace(trace)
 
 
-def test_serialize_trace_writes_numbers_outside_the_table_with_str():
+def test_serialize_trace_refuses_numbers_outside_the_table():
     # a hand-built trace may hold numbers no engine trace does: a negative
-    # index must not read the table's other end, and a number above it must
-    # not raise
+    # index must not read the table's other end, and a number above it or
+    # one that is not a number is refused
     header = (P5, 3, LabelledGraph(3, 5))
     for record in [TraceRecord(1, (0, 2), 4, -1, "plus"),
                    TraceRecord(-7, (0, 1), 2, 1, "minus"),
                    TraceRecord(2, (0, 1500), 2, 1, "cbound"),
                    TraceRecord(None, (0, 1), -1001, 2, "plus"),
-                   TraceRecord(3, (0, 1), 2, 10 ** 20, "minus")]:
+                   TraceRecord(3, (0, 1), 2, 10 ** 20, "minus"),
+                   TraceRecord(3, (0, 1), [2], 2, "minus")]:
         trace = CompletionTrace(*header, (TraceRecord(1, (0, 1), 2, 3, "plus"), record),
                                 (0, 1 << 2, 0))
-        assert serialize_trace(trace) == _two_pass_serialize_trace(trace)
-    assert "witness -1 via plus" in serialize_trace(
-        CompletionTrace(*header, (TraceRecord(1, (0, 2), 4, -1, "plus"),), (0, 0, 0)))
+        with pytest.raises(InputError, match="a number that no completion run writes"):
+            serialize_trace(trace)
+    # a final-fill vertex above the table
+    trace = CompletionTrace(*header, (), (1 << 1500, 0, 0))
+    with pytest.raises(InputError, match="a number that no completion run writes"):
+        serialize_trace(trace)
+
+
+def test_a_trace_refuses_a_final_mask_that_is_not_a_non_negative_int():
+    # a negative mask has set bits without end, so every reader of the masks
+    # would loop; a float has none, and a bool is not a mask
+    g = LabelledGraph(3, 5, [(0, 1, 1), (1, 2, 1), (0, 2, 4)])
+    trace = magic_complete(P5, 3, g).trace
+    for bad in (-2, 0.5, True):
+        final = (0, bad, 0)
+        with pytest.raises(InputError, match=r"final mask .* is not a non-negative integer"):
+            CompletionTrace(trace.params, trace.magic, trace.graph, trace.derived, final)
+        with pytest.raises(InputError, match="final mask"):
+            serialize_trace(dataclasses.replace(trace, final=final))
+        with pytest.raises(InputError, match="final mask"):
+            extract_obstacle(P5, 3, g, dataclasses.replace(trace, final=final))
 
 
 def test_completed_graph_is_built_in_pair_order():
@@ -296,7 +315,7 @@ def test_completed_graph_is_built_in_pair_order():
 def test_trace_records_the_simultaneous_pass():
     g = cycle_to_graph(LabelledCycle((1, 1, 1, 5)), 5)
     outcome = magic_complete(P5, 3, g)
-    by_pair = outcome.trace.by_pair()
+    by_pair = {r.pair: r for r in outcome.trace.records}
     assert by_pair[(0, 2)].step == 2
     assert by_pair[(0, 2)].witness == 3
     assert by_pair[(1, 3)].step == 2
@@ -306,13 +325,13 @@ def test_trace_records_the_simultaneous_pass():
 def test_trace_record_is_an_immutable_tuple():
     outcome = magic_complete(P5, 3, cycle_to_graph(LabelledCycle((1, 1, 1, 5)), 5))
     assert TraceRecord._fields == ("step", "pair", "value", "witness", "family")
-    record = outcome.trace.by_pair()[(0, 2)]
+    by_pair = {r.pair: r for r in outcome.trace.records}
+    record = by_pair[(0, 2)]
     assert (record.step, record.pair, record.value, record.witness, record.family) == (
         2, (0, 2), 4, 3, "minus")
     # a record compares equal to the plain tuple of its fields
     assert record == (2, (0, 2), 4, 3, "minus")
-    assert outcome.trace.by_pair()[(0, 1)] == TraceRecord(None, (0, 1), 1, None, "input")
-    assert outcome.trace.by_pair() == {r.pair: r for r in outcome.trace.records}
+    assert by_pair[(0, 1)] == TraceRecord(None, (0, 1), 1, None, "input")
     with pytest.raises(AttributeError):
         record.value = 4
     # CompletionOutcome stays a dataclass
@@ -346,7 +365,6 @@ def test_a_run_builds_no_record_or_triangle_until_asked():
                   for u, v in itertools.combinations(range(80), 2)
                   if not g.get(u, v) and (u, v) not in {record.pair for record in derived}]
         assert list(outcome.trace.records) == eager
-        assert outcome.trace.by_pair() == {record.pair: record for record in eager}
         assert outcome.forbidden_triangles == tuple(forbidden_triangles(p, outcome.completed))
         assert text == _two_pass_serialize_trace(outcome.trace)
         assert obstacle == _pull_back(outcome.trace, outcome.forbidden_triangles[0])
@@ -389,9 +407,9 @@ def test_the_scan_reads_the_completed_graphs_masks(monkeypatch, key):
     scanned = []
     scan = completion._forbidden_in
 
-    def spy(tables, rows, mat, magic=0, first=False):
+    def spy(tables, rows, mat, magic=0):
         scanned.append((rows, mat, magic))
-        return scan(tables, rows, mat, magic, first)
+        return scan(tables, rows, mat, magic)
 
     monkeypatch.setattr(completion, "_forbidden_in", spy)
     p = ParameterTuple(*key)

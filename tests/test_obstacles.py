@@ -105,6 +105,27 @@ def test_extraction_rejects_a_trace_that_does_not_set_each_pair_once():
         extract_obstacle(P5, 3, g, derived)
 
 
+# the first derived record of the run on the cycle 1 1 5 5 5 is
+# (2, (1, 3), 4, 2, "minus"): each case changes one of its fields
+BAD_RECORD_FIELDS = [
+    ("value", 99, "distance 99 "), ("value", -1, "distance -1 "), ("value", 2.0, "distance 2.0 "),
+    ("pair", (1.0, 3), r"pair \(1.0, 3\) "), ("witness", 99, "witness 99 "),
+    ("witness", None, "witness None "), ("witness", -1, "witness -1 "),
+    ("witness", 3, "witness 3 ")]
+
+
+@pytest.mark.parametrize("field, bad, message", BAD_RECORD_FIELDS)
+def test_extraction_refuses_a_derived_record_off_the_graph(field, bad, message):
+    g = cycle_to_graph(LabelledCycle((1, 1, 5, 5, 5)), 5)
+    trace = magic_complete(P5, 3, g).trace
+    first, *rest = trace.derived
+    assert first == (2, (1, 3), 4, 2, "minus")
+    extract_obstacle(P5, 3, g, trace)
+    bad_trace = dataclasses.replace(trace, derived=(first._replace(**{field: bad}), *rest))
+    with pytest.raises(InputError, match=message):
+        extract_obstacle(P5, 3, g, bad_trace)
+
+
 def test_extraction_from_a_trace_equals_the_run_pull_back():
     # the verify sweep pulls obstacles back from its own runs; extract_obstacle
     # checks a trace and rebuilds the run from it, and must agree
@@ -123,7 +144,8 @@ def _stage_loop(outcome):
     """Reference pull-back: every stage replaces all cycle edges derived at
     the latest step left by their witness forks, reading labels off the
     completed graph, until only input edges are left."""
-    completed, records = outcome.completed, outcome.trace.by_pair()
+    completed = outcome.completed
+    records = {record.pair: record for record in outcome.trace.records}
     hom = list(outcome.forbidden_triangles[0])
     while True:
         cycle = [records[min(a, b), max(a, b)] for a, b in zip(hom, hom[1:] + hom[:1])]

@@ -9,10 +9,11 @@ import random
 import pytest
 
 from magic_completion import (ExhaustiveScope, LabelledGraph, ParameterTuple, RandomScope,
-                              brute_force_completable, enumerate_all_completions,
-                              fork_graph, magic_complete, parse_graph,
-                              select_magic_parameter, serialize_graph,
-                              shortest_path_complete)
+                              brute_force_completable, canonical_cycle, cycle_to_graph,
+                              enumerate_all_completions, extract_obstacle, fork_graph,
+                              magic_complete, parse_graph, select_magic_parameter,
+                              serialize_graph, shortest_path_complete,
+                              validate_obstacle_hom)
 from magic_completion import oracle
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -88,6 +89,35 @@ def test_completed_and_searched_graphs_round_trip(case):
         for h in enumerate_all_completions(p, g).completions:
             _check_representation(h)
             assert all(h.get(u, v) == d for u, v, d in g.edges())
+
+
+def test_extracted_obstacles_are_uncompletable_cycles_of_the_input():
+    # every uncompletable run's obstacle, pulled back from the first forbidden
+    # triangle, maps into the input, and the oracle finds no completion of its
+    # cycle; a cycle with more chords than the oracle's budget is counted
+    tally = {"checked": 0, "over budget": 0}
+
+    @SETTINGS
+    @hypothesis.given(st.sampled_from(KEYS).flatmap(
+        lambda key: st.tuples(st.just(ParameterTuple(*key)), graphs(key[0]))))
+    def check(case):
+        p, g = case
+        magic = select_magic_parameter(p).selected
+        outcome = magic_complete(p, magic, g)
+        if outcome.completable:
+            return
+        obstacle = extract_obstacle(p, magic, g, outcome.trace)
+        assert validate_obstacle_hom(g, obstacle)
+        length = len(obstacle.cycle)
+        if length * (length - 3) // 2 > oracle.BRUTE_BUDGET:
+            tally["over budget"] += 1
+            return
+        tally["checked"] += 1
+        assert brute_force_completable(
+            p, cycle_to_graph(canonical_cycle(obstacle.cycle), p.delta)) is None
+
+    check()
+    assert tally["checked"] >= 20, tally
 
 
 @SETTINGS

@@ -16,8 +16,8 @@ from magic_completion import (GraphParseError, InputError, LabelledCycle,
 from magic_completion.oracle import _extend_member
 from magic_completion.params import MAX_DELTA
 from magic_completion import space
-from magic_completion.space import (MAX_VERTICES, _forbidden_in, _label_pairs,
-                                    _scan_tables, allowed_masks, first_forbidden)
+from magic_completion.space import (MAX_VERTICES, _first_triangle, _forbidden_in,
+                                    _label_pairs, _scan_tables, allowed_masks)
 
 P5 = ParameterTuple(5, 3, 3, 16, 13)
 
@@ -250,7 +250,6 @@ def test_forbidden_triangles_match_triple_loop(seed):
                 if None not in (a, b, c) and not triangle_allowed(p, a, b, c):
                     expected.append((u, v, w))
             assert forbidden_triangles(p, g) == expected
-            assert first_forbidden(p, g) == (expected[0] if expected else None)
 
 
 @pytest.mark.parametrize("key", CASE_KEYS)
@@ -328,8 +327,6 @@ def test_cycle_validation_and_conversion():
     assert g.get(0, 1) == 1
     assert g.get(4, 0) == 5
     assert g.get(0, 2) is None
-    # default delta is the largest label
-    assert cycle_to_graph(LabelledCycle((1, 2, 3))).delta == 3
     with pytest.raises(InputError):
         cycle_to_graph(LabelledCycle((1, 2, 6)), 5)
 
@@ -438,12 +435,12 @@ def test_scan_matches_a_triple_loop_over_classify_triangle(key):
         for g in graphs:
             expected = _reference_scan(p, g)
             assert forbidden_triangles(p, g) == expected
-            assert first_forbidden(p, g) == (expected[0] if expected else None)
             mat = _reference_matrix(g)
             assert g._mat == tuple(map(tuple, mat))
             for rows in (None, _reference_masks(g)):
-                assert _expand(_forbidden_in(tables, rows, mat), n) == expected
-                assert _expand(_forbidden_in(tables, rows, mat, first=True), n) == expected[:1]
+                found = _forbidden_in(tables, rows, mat)
+                assert _expand(found, n) == expected
+                assert _first_triangle(found) == (expected[0] if expected else None)
             if g.is_complete():
                 assert is_member(p, g) == (not expected)
         # members pass; these random complete graphs of 7 or more vertices do not
