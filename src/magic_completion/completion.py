@@ -40,8 +40,8 @@ _DERIVED = (FAMILY_PLUS, FAMILY_MINUS, FAMILY_CBOUND)
 
 def time_of(x: int, magic: int, delta: int) -> int:
     """Scheduling time of a non-magic target distance."""
-    if x == magic or not 1 <= x <= delta:
-        raise InputError(f"no scheduled time for distance {x} with magic {magic}")
+    if type(x) is not int or x == magic or not 1 <= x <= delta:
+        raise InputError(f"no scheduled time for distance {x!r} with magic {magic}")
     return 2 * x - 1 if x < magic else 2 * (delta - x)
 
 
@@ -284,8 +284,8 @@ def shortest_path_complete(delta: int, g: LabelledGraph) -> LabelledGraph:
     Independent of the staged engine.  The result can disagree with the input
     on an edge exactly when the input contains a non-metric cycle.
     """
-    if g.delta != delta:
-        raise InputError(f"graph delta {g.delta} differs from requested delta {delta}")
+    if type(delta) is not int or g.delta != delta:
+        raise InputError(f"graph delta {g.delta} differs from requested delta {delta!r}")
     rows = _label_rows(g)
     # within[k][u]: the vertices whose shortest path from u is at most k long;
     # a path of length at most k starts with an edge u-w of some label d <= k

@@ -19,8 +19,8 @@ from enum import Enum
 from .completion import CompletionTrace, magic_complete
 from .errors import InputError, InvariantViolation, ResourceLimitError
 from .params import ParameterTuple
-from .space import (LabelledCycle, LabelledGraph, _set_bits, canonical_cycle,
-                    cycle_to_graph, forbidden_triangles, serialize_cycle)
+from .space import (LabelledCycle, LabelledGraph, _first_triangle, _forbidden_in, _scan_tables,
+                    _set_bits, canonical_cycle, cycle_to_graph, serialize_cycle)
 
 # Budgets of the cycle catalogue: the canonical candidates of one
 # enumerate_uncompletable_cycles call, and the length family_classify takes.
@@ -61,6 +61,8 @@ def extract_obstacle(p: ParameterTuple, magic: int, g: LabelledGraph,
     """
     if trace.params != p or trace.magic != magic:
         raise InputError("trace does not belong to the given parameters and magic value")
+    if g.delta != p.delta:
+        raise InputError(f"graph delta {g.delta} differs from parameter delta {p.delta}")
     n = g.n
     if trace.graph != g or len(trace.final) != n:
         raise InputError("trace does not belong to the given graph")
@@ -83,10 +85,10 @@ def extract_obstacle(p: ParameterTuple, magic: int, g: LabelledGraph,
             mat[u][v] = mat[v][u] = magic
     if any(row.count(0) != 1 for row in mat):
         raise InputError("trace leaves a pair of the graph unset")
-    found = forbidden_triangles(p, LabelledGraph._of(g.delta, mat))
-    if not found:
+    triangle = _first_triangle(_forbidden_in(_scan_tables(p), None, mat))
+    if triangle is None:
         raise InputError("the completion run was Completable; there is no obstacle")
-    return _pull_back(trace, found[0])
+    return _pull_back(trace, triangle)
 
 
 def _pull_back(trace: CompletionTrace, triangle: tuple[int, int, int]) -> Obstacle:
@@ -136,8 +138,8 @@ def _canonical_candidates(delta: int, length: int, leading: int):
 def _require_jobs(jobs: int) -> None:
     """Refuse a worker count outside 1..the CPU count."""
     limit = os.cpu_count() or 1
-    if not 1 <= jobs <= limit:
-        raise InputError(f"jobs must be between 1 and {limit} (the CPU count), got {jobs}")
+    if type(jobs) is not int or not 1 <= jobs <= limit:
+        raise InputError(f"jobs must be between 1 and {limit} (the CPU count), got {jobs!r}")
 
 
 def _pmap(fn, items, jobs: int, count: int):
@@ -184,8 +186,8 @@ def _enumerate_worker(args) -> list[tuple[int, ...]]:
 def enumerate_uncompletable_cycles(p: ParameterTuple, magic: int, length: int,
                                    jobs: int = 1) -> frozenset[LabelledCycle]:
     """All canonical cycles of exactly `length` edges that cannot be completed."""
-    if length < 3:
-        raise InputError("cycles have at least three edges")
+    if type(length) is not int or length < 3:
+        raise InputError(f"cycle length must be an integer of at least 3, got {length!r}")
     # delta^length, computed no further than the first power over budget
     if p.delta ** min(length, CANDIDATE_BUDGET.bit_length()) > CANDIDATE_BUDGET:
         raise ResourceLimitError(

@@ -422,6 +422,11 @@ def _random_instance(p: ParameterTuple, rng: random.Random,
 def _scope_size(p: ParameterTuple, scope) -> int:
     """The number of instances in a verification scope, after checking it
     against MAX_SCOPE_INSTANCES."""
+    if not isinstance(scope, (ExhaustiveScope, RandomScope)):
+        raise InputError(f"unknown scope {scope!r}")
+    for name, value in vars(scope).items():
+        if type(value) is not int:
+            raise InputError(f"scope {name} must be an integer, got {value!r}")
     if isinstance(scope, ExhaustiveScope):
         # (delta+1)^pairs, computed no further than the first power over budget
         count = math.comb(max(scope.vertices, 0), 2)
@@ -431,16 +436,14 @@ def _scope_size(p: ParameterTuple, scope) -> int:
                 f"{p.delta + 1}^{count} instances on {scope.vertices} vertices exceed "
                 f"the budget of {MAX_SCOPE_INSTANCES}")
         return (p.delta + 1) ** count
-    if isinstance(scope, RandomScope):
-        if scope.count < 0:
-            raise InputError(f"random instance count must be non-negative, got {scope.count}")
-        forks = p.delta * (p.delta + 1) // 2
-        if forks + scope.count > MAX_SCOPE_INSTANCES:
-            raise ResourceLimitError(
-                f"{forks} fork and {scope.count} random instances exceed the budget "
-                f"of {MAX_SCOPE_INSTANCES}")
-        return forks + scope.count
-    raise InputError(f"unknown scope {scope!r}")
+    if scope.count < 0:
+        raise InputError(f"random instance count must be non-negative, got {scope.count}")
+    forks = p.delta * (p.delta + 1) // 2
+    if forks + scope.count > MAX_SCOPE_INSTANCES:
+        raise ResourceLimitError(
+            f"{forks} fork and {scope.count} random instances exceed the budget "
+            f"of {MAX_SCOPE_INSTANCES}")
+    return forks + scope.count
 
 
 def scope_instances(p: ParameterTuple, scope) -> Iterator[LabelledGraph]:
@@ -482,14 +485,13 @@ def _instance_findings(p: ParameterTuple, magic: int, g: LabelledGraph):
     """
     findings: list[tuple[str, bool, str | None, dict[str, int]]] = []
     outcome = magic_complete(p, magic, g)
-    # the value tallies of a completable verdict also decide whether the
-    # search finds a completion; the first-completion search runs otherwise
-    tally = None
-    if outcome.completable:
-        try:
-            tally = _search(p, g, ENUM_BUDGET)
-        except ResourceLimitError:
-            pass
+    # one search counts the completions, for oracle-equivalence, and tallies
+    # their values, for optimality and parity; the first-completion search,
+    # with its larger budget, runs only when the tally is over budget
+    try:
+        tally = _search(p, g, ENUM_BUDGET)
+    except ResourceLimitError:
+        tally = None
     try:
         found = (tally[0] > 0 if tally is not None
                  else brute_force_completable(p, g) is not None)

@@ -263,8 +263,8 @@ def _set_bits(mask: int) -> list[int]:
     return [i for i, digit in enumerate(bin(mask >> low)[:1:-1], low) if digit == "1"]
 
 
-def _forbidden_in(tables: _ScanTables, rows, mat, magic: int = 0) -> list[tuple[int, int, int]]:
-    """(u, v, hits) per pair u < v, in sorted order, that closes a fully
+def _forbidden_in(tables: _ScanTables, rows, mat, magic: int = 0):
+    """Yields (u, v, hits) per pair u < v, in sorted order, that closes a fully
     assigned forbidden triangle of the graph whose label matrix is `mat` (as
     LabelledGraph holds it): bit w of hits is set when (u, v, w) is forbidden,
     and only bits w > v are.  `rows` are the graph's label masks (rows[d][u]
@@ -297,8 +297,6 @@ def _forbidden_in(tables: _ScanTables, rows, mat, magic: int = 0) -> list[tuple[
         full = (1 << n) - 1
         other = [full ^ row for row in rows[magic]]
     last = n - 1
-    found = []
-    append = found.append
     for u, mu in enumerate(mat):
         terms_of = [None] * len(forbidden)  # per label a: (rows[c], B[c]) for B[c] != 0
         for v in range(u + 1, n):
@@ -314,7 +312,7 @@ def _forbidden_in(tables: _ScanTables, rows, mat, magic: int = 0) -> list[tuple[
                     if bad_a[mu[w]] >> mv[w] & 1:
                         hits |= 1 << w
                 if hits:
-                    append((u, v, hits))
+                    yield u, v, hits
                 continue
             terms = terms_of[a]
             if terms is None:
@@ -328,21 +326,19 @@ def _forbidden_in(tables: _ScanTables, rows, mat, magic: int = 0) -> list[tuple[
                 hits |= row[v] & mask
             hits &= -(2 << v)
             if hits:
-                append((u, v, hits))
-    return found
+                yield u, v, hits
 
 
 def _triangles(found) -> list[tuple[int, int, int]]:
-    """The triangles (u, v, w) of _forbidden_in's list, in sorted order."""
+    """The triangles (u, v, w) of _forbidden_in's hits, in sorted order."""
     return [(u, v, w) for u, v, hits in found for w in _set_bits(hits)]
 
 
 def _first_triangle(found) -> tuple[int, int, int] | None:
-    """The first triangle of _forbidden_in's list, or None."""
-    if not found:
-        return None
-    u, v, hits = found[0]
-    return u, v, (hits & -hits).bit_length() - 1
+    """The first triangle of _forbidden_in's hits, or None; reads only the first item."""
+    for u, v, hits in found:
+        return u, v, (hits & -hits).bit_length() - 1
+    return None
 
 
 def forbidden_triangles(p: ParameterTuple, g: LabelledGraph) -> list[tuple[int, int, int]]:

@@ -55,6 +55,10 @@ def test_time_function():
         time_of(0, 3, 5)
     with pytest.raises(InputError):
         time_of(6, 3, 5)
+    # True == 1 and 2.0 == 2, but neither is a distance
+    for x in (True, 2.0):
+        with pytest.raises(InputError, match="no scheduled time for distance"):
+            time_of(x, 3, 5)
 
 
 def test_time_injective_for_small_admissible_tuples():
@@ -558,6 +562,11 @@ def test_shortest_path_examples():
     assert shortest_path_complete(5, chain).get(0, 3) == 3
     with pytest.raises(InputError):
         shortest_path_complete(4, LabelledGraph(3, 5))
+    single = LabelledGraph(2, 1, [(0, 1, 1)])
+    assert shortest_path_complete(1, single) == single
+    for delta in (True, 1.0):
+        with pytest.raises(InputError, match="differs from requested delta"):
+            shortest_path_complete(delta, single)
 
 
 def test_shortest_path_matches_floyd_warshall():

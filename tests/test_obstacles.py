@@ -126,6 +126,16 @@ def test_extraction_refuses_a_derived_record_off_the_graph(field, bad, message):
         extract_obstacle(P5, 3, g, bad_trace)
 
 
+@pytest.mark.parametrize("delta", [4, 6])
+def test_extraction_refuses_a_trace_whose_graph_has_another_delta(delta):
+    # a hand-built trace that sets every pair of its graph, so that only the
+    # delta tells it from a run's; the label 4 is within both deltas
+    g = LabelledGraph(3, delta, [(0, 1, 1), (1, 2, 1), (0, 2, 4)])
+    trace = CompletionTrace(P5, 3, g, (), (0, 0, 0))
+    with pytest.raises(InputError, match=f"^graph delta {delta} differs from parameter delta 5$"):
+        extract_obstacle(P5, 3, g, trace)
+
+
 def test_extraction_from_a_trace_equals_the_run_pull_back():
     # the verify sweep pulls obstacles back from its own runs; extract_obstacle
     # checks a trace and rebuilds the run from it, and must agree

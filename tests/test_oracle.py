@@ -16,10 +16,11 @@ from magic_completion import (ExhaustiveScope, Failure, InputError,
                               check_amalgamation,
                               check_instance, cycle_to_graph,
                               enumerate_all_completions, enumerate_members,
+                              enumerate_uncompletable_cycles,
                               fork_graph, format_report, magic_complete,
                               run_verification_suite, serialize_graph,
                               shortest_path_complete)
-from magic_completion import oracle
+from magic_completion import obstacles, oracle
 from magic_completion.oracle import (ENUM_BUDGET, PROPERTY_ORDER, _search,
                                      scope_instances)
 from magic_completion.params import (classify_admissible, eligible_magic,
@@ -584,6 +585,31 @@ def test_suite_refuses_jobs_before_building_the_scope(monkeypatch):
     monkeypatch.setattr(oracle, "scope_instances", lambda *args: pytest.fail("scope built"))
     with pytest.raises(InputError, match="jobs must be between 1 and"):
         run_verification_suite(P3, 2, RandomScope(99990, seed=0), jobs=0)
+
+
+# sizes of the library's sweeps and catalogues that are not an int: each
+# is refused with InputError before any instance or cycle is checked
+BAD_SIZES = {
+    "exhaustive-vertices-2.5": lambda: run_verification_suite(P3, 2, ExhaustiveScope(2.5)),
+    "exhaustive-vertices-True": lambda: run_verification_suite(P3, 2, ExhaustiveScope(True)),
+    "random-count-2.0": lambda: run_verification_suite(P3, 2, RandomScope(2.0, 1)),
+    "random-count-True": lambda: run_verification_suite(P3, 2, RandomScope(True, 1)),
+    "random-seed-x": lambda: run_verification_suite(P3, 2, RandomScope(2, "x")),
+    "random-vertices-5.0": lambda: run_verification_suite(P3, 2, RandomScope(2, 1, 5.0)),
+    "suite-jobs-1.0": lambda: run_verification_suite(P3, 2, RandomScope(2, 1), jobs=1.0),
+    "suite-jobs-True": lambda: run_verification_suite(P3, 2, RandomScope(2, 1), jobs=True),
+    "cycles-jobs-2.0": lambda: enumerate_uncompletable_cycles(P3, 2, 4, jobs=2.0),
+    "cycles-jobs-True": lambda: enumerate_uncompletable_cycles(P3, 2, 4, jobs=True),
+    "cycles-length-4.0": lambda: enumerate_uncompletable_cycles(P3, 2, 4.0),
+}
+
+
+@pytest.mark.parametrize("call", BAD_SIZES.values(), ids=BAD_SIZES.keys())
+def test_sizes_that_are_not_an_int_are_refused_before_any_run(monkeypatch, call):
+    for module in (oracle, obstacles):
+        monkeypatch.setattr(module, "magic_complete", lambda *args: pytest.fail("ran"))
+    with pytest.raises(InputError, match="must be an integer|must be between 1 and"):
+        call()
 
 
 def test_format_report_shape():

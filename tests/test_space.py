@@ -438,9 +438,12 @@ def test_scan_matches_a_triple_loop_over_classify_triangle(key):
             mat = _reference_matrix(g)
             assert g._mat == tuple(map(tuple, mat))
             for rows in (None, _reference_masks(g)):
-                found = _forbidden_in(tables, rows, mat)
+                found = list(_forbidden_in(tables, rows, mat))
                 assert _expand(found, n) == expected
-                assert _first_triangle(found) == (expected[0] if expected else None)
+                # the first triangle reads the scan's first item and no more
+                scan = _forbidden_in(tables, rows, mat)
+                assert _first_triangle(scan) == (expected[0] if expected else None)
+                assert list(scan) == found[1:]
             if g.is_complete():
                 assert is_member(p, g) == (not expected)
         # members pass; these random complete graphs of 7 or more vertices do not
